@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +81,11 @@ from .core import ensemble_action, returns_to_go
 
 ALGORITHMS = ("vanilla-pg", "graph-pg", "graph-ac")
 
-# vertex-row budget for one batched forward; keeps the big sweeps bounded
+# vertex-row and edge budgets for one batched forward; they bound the memory
+# of the big sweeps. Battle sub-graphs carry about two edges per member, so at
+# twice the row budget neither binds first there; in crowded worlds edges do.
 ROW_BUDGET = 65536
+EDGE_BUDGET = 2 * ROW_BUDGET
 
 
 @dataclass(frozen=True)
@@ -474,22 +477,53 @@ def team_transitions(steps: Sequence[StepData], team_of: Mapping[int, int], team
     return out
 
 
-# -- batched critic sweeps ---------------------------------------------------
+# -- chunked batched forwards ------------------------------------------------
+
+
+def _sizes(sgs: Sequence[SubGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Members and directed edges of each sub-graph."""
+    return (
+        np.array([sg.n_members() for sg in sgs], dtype=np.int64),
+        np.array([len(sg.edge_src) for sg in sgs], dtype=np.int64),
+    )
+
+
+def _chunks(
+    rows: np.ndarray, edges: np.ndarray, row_budget: int = ROW_BUDGET, edge_budget: int = EDGE_BUDGET
+) -> Iterator[slice]:
+    """Consecutive runs of items whose summed rows and edges fit both budgets.
+
+    A run takes at least one item, so an item above a budget runs alone.
+    """
+    cum_rows = np.concatenate([[0], np.cumsum(rows)])
+    cum_edges = np.concatenate([[0], np.cumsum(edges)])
+    start = 0
+    while start < len(rows):
+        end = min(
+            np.searchsorted(cum_rows, cum_rows[start] + row_budget, side="right"),
+            np.searchsorted(cum_edges, cum_edges[start] + edge_budget, side="right"),
+        )
+        yield slice(start, end := max(int(end) - 1, start + 1))
+        start = end
 
 
 def _sweep_batch(entries: Sequence[tuple[SubGraph, np.ndarray]]) -> GraphBatch:
-    """All (member, action) variants of the entries as one union graph.
+    """The single-member deviations of the entries as one union graph.
 
-    Entry i of m members contributes 5m copies of its sub-graph, copy c
-    holding the base joint with member c // 5 switched to action c % 5.
+    Entry i of m members contributes 4m copies of its sub-graph: copy c holds
+    the base joint with member c // 4 switched to the (c % 4)-th of the four
+    actions other than its base action, in ascending order. The base joint
+    itself is not copied; :func:`sweep_values` evaluates it once, plainly.
     """
-    base = batch_subgraphs([sg for sg, _ in entries], joints=[j for _, j in entries])
-    sizes = np.array([sg.n_members() for sg, _ in entries], dtype=np.int64)
-    n_edges = np.array([len(sg.edge_src) for sg, _ in entries], dtype=np.int64)
+    alts = N_ACTIONS - 1
+    joints = [np.asarray(j, dtype=np.int64) for _, j in entries]
+    base = batch_subgraphs([sg for sg, _ in entries], joints=joints)
+    held = np.concatenate(joints)  # base action per base row
+    sizes, n_edges = _sizes([sg for sg, _ in entries])
     entry_row = np.cumsum(sizes) - sizes  # base row of each entry's slot 0
     entry_edge = np.cumsum(n_edges) - n_edges
 
-    copies = N_ACTIONS * sizes
+    copies = alts * sizes
     entry_of_copy = np.repeat(np.arange(len(entries)), copies)
     copy_in_entry = np.arange(len(entry_of_copy)) - np.repeat(np.cumsum(copies) - copies, copies)
     m_of_copy = sizes[entry_of_copy]
@@ -498,9 +532,12 @@ def _sweep_batch(entries: Sequence[tuple[SubGraph, np.ndarray]]) -> GraphBatch:
     copy_of_row = np.repeat(np.arange(len(m_of_copy)), m_of_copy)
     row = np.arange(len(copy_of_row)) - first_row[copy_of_row]
     x = np.take(base.x, entry_row[entry_of_copy][copy_of_row] + row, axis=0)
-    swept = first_row + copy_in_entry // N_ACTIONS
+    slot = copy_in_entry // alts
+    alt = copy_in_entry % alts
+    alt += alt >= held[entry_row[entry_of_copy] + slot]  # step over the base action
+    swept = first_row + slot
     x[swept, -N_ACTIONS:] = 0.0
-    x[swept, x.shape[1] - N_ACTIONS + copy_in_entry % N_ACTIONS] = 1.0
+    x[swept, x.shape[1] - N_ACTIONS + alt] = 1.0
 
     e_of_copy = n_edges[entry_of_copy]
     copy_of_edge = np.repeat(np.arange(len(e_of_copy)), e_of_copy)
@@ -524,144 +561,96 @@ def sweep_values(
     entries: Sequence[tuple[SubGraph, np.ndarray]],
     critic: NetParams,
     row_budget: int = ROW_BUDGET,
+    edge_budget: int = EDGE_BUDGET,
 ) -> list[np.ndarray]:
     """Critic values for every (member, action) sweep of each entry.
 
     For an entry (sub-graph, base joint) the result is an (m, 5) array whose
-    (j, a) element is q(sg, base with member j's action replaced by a). All
-    variants of all entries are evaluated in a few large batched forwards,
-    chunked by a vertex-row budget to bound memory: a chunk closes with the
-    entry that brings its 5m^2 variant rows to the budget.
+    (j, a) element is q(sg, base with member j's action replaced by a). One
+    plain pass (:func:`chunked_critic_values`) evaluates each base joint once
+    and fills every row's base-action column; the 4m single-member
+    deviations of all entries (:func:`_sweep_batch`) fill the rest in a few
+    large batched forwards. An entry of m members and e edges brings 4m^2
+    vertex rows and 4me edges to its forward; a forward holds at most
+    ``row_budget`` rows and ``edge_budget`` edges unless one entry alone
+    exceeds them.
     """
-    out: list[np.ndarray] = []
-    start = 0
-    while start < len(entries):
-        end = start
-        rows = 0
-        while end < len(entries) and (end == start or rows < row_budget):
-            rows += N_ACTIONS * entries[end][0].n_members() ** 2
-            end += 1
-        vals, _ = critic_values(_sweep_batch(entries[start:end]), critic)
-        pos = 0
-        for sg, _ in entries[start:end]:
-            m = sg.n_members()
-            out.append(vals[pos : pos + N_ACTIONS * m].reshape(m, N_ACTIONS))
-            pos += N_ACTIONS * m
-        start = end
-    return out
+    if not entries:
+        return []
+    sizes, n_edges = _sizes([sg for sg, _ in entries])
+    alts = N_ACTIONS - 1
+    parts = _chunks(alts * sizes**2, alts * sizes * n_edges, row_budget, edge_budget)
+    deviations = [critic_values(_sweep_batch(entries[part]), critic)[0] for part in parts]
+    base = chunked_critic_values(entries, critic, row_budget, edge_budget)
+    table = np.repeat(np.repeat(base, sizes)[:, None], N_ACTIONS, axis=1)
+    held = np.concatenate([np.asarray(j, dtype=np.int64) for _, j in entries])
+    # row-major order: members in order, actions ascending, as _sweep_batch lays them out
+    table[np.arange(N_ACTIONS) != held[:, None]] = np.concatenate(deviations)
+    return np.split(table, np.cumsum(sizes)[:-1])
 
 
 def chunked_critic_values(
     entries: Sequence[tuple[SubGraph, np.ndarray]],
     critic: NetParams,
     row_budget: int = ROW_BUDGET,
+    edge_budget: int = EDGE_BUDGET,
 ) -> np.ndarray:
     """Plain critic values for (sub-graph, joint) pairs, chunked."""
     vals = np.empty(len(entries))
-    start = 0
-    while start < len(entries):
-        end = start
-        rows = 0
-        while end < len(entries) and (end == start or rows + entries[end][0].n_members() <= row_budget):
-            rows += entries[end][0].n_members()
-            end += 1
-        batch = batch_subgraphs(
-            [sg for sg, _ in entries[start:end]], joints=[j for _, j in entries[start:end]]
-        )
-        v, _ = critic_values(batch, critic)
-        vals[start:end] = v
-        start = end
+    sgs = [sg for sg, _ in entries]
+    for part in _chunks(*_sizes(sgs), row_budget, edge_budget):
+        batch = batch_subgraphs(sgs[part], joints=[j for _, j in entries[part]])
+        vals[part] = critic_values(batch, critic)[0]
     return vals
 
 
 # -- per-episode gradient computation ----------------------------------------
 
 
-def _substep_probs(
-    substeps: Sequence[SubStep], policy: NetParams, row_budget: int = ROW_BUDGET
-) -> list[np.ndarray]:
+def _substep_probs(substeps: Sequence[SubStep], policy: NetParams) -> list[np.ndarray]:
     """Recompute member distributions under the current parameters."""
+    sgs = [ss.sg for ss in substeps]
+    sizes, n_edges = _sizes(sgs)
     out: list[np.ndarray] = []
-    start = 0
-    while start < len(substeps):
-        end = start
-        rows = 0
-        while end < len(substeps) and (end == start or rows + substeps[end].sg.n_members() <= row_budget):
-            rows += substeps[end].sg.n_members()
-            end += 1
-        batch = batch_subgraphs([ss.sg for ss in substeps[start:end]])
-        logp, _ = policy_logprobs(batch, policy)
+    for part in _chunks(sizes, n_edges):
+        logp, _ = policy_logprobs(batch_subgraphs(sgs[part]), policy)
         probs = np.exp(logp)
         probs /= probs.sum(axis=1, keepdims=True)
-        row = 0
-        for ss in substeps[start:end]:
-            m = ss.sg.n_members()
-            out.append(probs[row : row + m])
-            row += m
-        start = end
+        out += np.split(probs, np.cumsum(sizes[part])[:-1])
     return out
 
 
-def _policy_pass(
-    transitions: Sequence[Transition],
-    coeffs: Sequence[np.ndarray],
-    policy: NetParams,
-    row_budget: int = ROW_BUDGET,
-) -> Params:
+def _policy_pass(transitions: Sequence[Transition], coeffs: np.ndarray, policy: NetParams) -> Params:
     """Gradient of sum over (sub-graph, member) of coeff * ln pi(sampled).
 
-    Each member is credited with its ensemble draw taken before coercion: a
-    blocked move the world turned into Idle is a world dynamic, not an
-    action of the policy, so crediting the executed Idle would bias the
-    score-function estimator.
+    ``coeffs`` holds one coefficient per member row, the transitions' members
+    in order. Each member is credited with its ensemble draw taken before
+    coercion: a blocked move the world turned into Idle is a world dynamic,
+    not an action of the policy, so crediting the executed Idle would bias
+    the score-function estimator.
     """
     grads = zeros_like_params(policy)
-    start = 0
-    while start < len(transitions):
-        end = start
-        rows = 0
-        while end < len(transitions) and (
-            end == start or rows + transitions[end].step.sg.n_members() <= row_budget
-        ):
-            rows += transitions[end].step.sg.n_members()
-            end += 1
-        batch = batch_subgraphs([tr.step.sg for tr in transitions[start:end]])
-        logp, trace = policy_logprobs(batch, policy, record=True)
+    sgs = [tr.step.sg for tr in transitions]
+    sizes, n_edges = _sizes(sgs)
+    first = np.concatenate([[0], np.cumsum(sizes)])  # first member row per transition
+    sampled = np.concatenate([tr.step.sampled for tr in transitions])
+    for part in _chunks(sizes, n_edges):
+        rows = slice(first[part.start], first[part.stop])
+        logp, trace = policy_logprobs(batch_subgraphs(sgs[part]), policy, record=True)
         seed = np.zeros_like(logp)
-        row = 0
-        for tr, c in zip(transitions[start:end], coeffs[start:end]):
-            m = tr.step.sg.n_members()
-            seed[row + np.arange(m), tr.step.sampled] += c
-            row += m
+        seed[np.arange(len(logp)), sampled[rows]] = coeffs[rows]
         add_scaled_(grads, backward(trace, seed))
-        start = end
     return grads
 
 
-def _critic_pass(
-    transitions: Sequence[Transition],
-    coeffs: Sequence[float],
-    critic: NetParams,
-    row_budget: int = ROW_BUDGET,
-) -> Params:
+def _critic_pass(transitions: Sequence[Transition], coeffs: np.ndarray, critic: NetParams) -> Params:
     """Gradient of sum over sub-graphs of coeff * q(sg, executed joint)."""
     grads = zeros_like_params(critic)
-    start = 0
-    while start < len(transitions):
-        end = start
-        rows = 0
-        while end < len(transitions) and (
-            end == start or rows + transitions[end].step.sg.n_members() <= row_budget
-        ):
-            rows += transitions[end].step.sg.n_members()
-            end += 1
-        batch = batch_subgraphs(
-            [tr.step.sg for tr in transitions[start:end]],
-            joints=[tr.step.executed for tr in transitions[start:end]],
-        )
+    sgs = [tr.step.sg for tr in transitions]
+    for part in _chunks(*_sizes(sgs)):
+        batch = batch_subgraphs(sgs[part], joints=[tr.step.executed for tr in transitions[part]])
         _, trace = critic_values(batch, critic, record=True)
-        add_scaled_(grads, backward(trace, np.asarray(coeffs[start:end], dtype=np.float64)))
-        start = end
+        add_scaled_(grads, backward(trace, coeffs[part]))
     return grads
 
 
@@ -677,57 +666,57 @@ def ac_episode_grads(
     current sub-graph (member j's action swept, others fixed at the joint
     the world executed), v' the same on the successor sub-graph with the
     next step's executed joint (zero when the agent or episode terminated;
-    the raw successor value when j drifted out of the successor sub-graph),
-    and delta = R + gamma*v' - v weights both the actor's log-probability
-    gradient and the critic's value gradient. The actor term attaches to
-    each member's ensemble draw taken before coercion (``SubStep.sampled``);
-    the critic is trained on, and swept around, the executed joint.
+    the successor's plain value when j drifted out of the successor
+    sub-graph), and delta = R + gamma*v' - v weights both the actor's
+    log-probability gradient and the critic's value gradient. The actor term
+    attaches to each member's ensemble draw taken before coercion
+    (``SubStep.sampled``); the critic is trained on, and swept around, the
+    executed joint.
+
+    Each ``SubStep`` is swept once per call. In batch mode a successor is a
+    later transition's own step, the same object (:func:`team_transitions`),
+    so v' reads that step's sweep. Only successors that are no step of the
+    call are swept besides; in per-step mode that is all of them.
     """
     assert nets.critic is not None
     policy, critic = nets.policy, nets.critic
     if not transitions:
         return zeros_like_params(policy), zeros_like_params(critic)
 
-    if fresh_probs:
-        cur = _substep_probs([tr.step for tr in transitions], policy)
-        nxt_list = [tr.next for tr in transitions if tr.next is not None]
-        nxt_fresh = _substep_probs(nxt_list, policy)
-        nxt_iter = iter(nxt_fresh)
-        probs_cur = {id(tr.step): p for tr, p in zip(transitions, cur)}
-        probs_nxt = {id(ss): next(nxt_iter) for ss in nxt_list}
-    else:
-        probs_cur = {id(tr.step): tr.step.probs for tr in transitions}
-        probs_nxt = {
-            id(tr.next): tr.next.probs for tr in transitions if tr.next is not None
-        }
+    # each distinct SubStep once: the transitions' own steps in order, then
+    # the successors that are none of them
+    steps = [tr.step for tr in transitions]
+    index = {id(ss): k for k, ss in enumerate(steps)}
+    for tr in transitions:
+        if tr.next is not None and id(tr.next) not in index:
+            index[id(tr.next)] = len(steps)
+            steps.append(tr.next)
+    probs = _substep_probs(steps, policy) if fresh_probs else [ss.probs for ss in steps]
+    table = np.concatenate(sweep_values([(ss.sg, ss.executed) for ss in steps], critic))
 
-    v_sweep = sweep_values([(tr.step.sg, tr.step.executed) for tr in transitions], critic)
-    with_next = [k for k, tr in enumerate(transitions) if tr.next is not None]
-    nxt_entries = [(transitions[k].next.sg, transitions[k].next.executed) for k in with_next]
-    n_sweep = sweep_values(nxt_entries, critic)
-    n_raw = chunked_critic_values(nxt_entries, critic) if nxt_entries else np.empty(0)
-    nmap = {k: i for i, k in enumerate(with_next)}
+    # one row per (step, member), the transitions' own steps first
+    sizes = np.array([ss.sg.n_members() for ss in steps])
+    members = np.concatenate([ss.sg.members for ss in steps])
+    value = (np.concatenate(probs) * table).sum(axis=1)  # each member's baseline
+    plain = table[np.cumsum(sizes) - sizes, [ss.executed[0] for ss in steps]]  # base joint values
 
-    deltas: list[np.ndarray] = []
-    for k, tr in enumerate(transitions):
-        probs = probs_cur[id(tr.step)]
-        v = (probs * v_sweep[k]).sum(axis=1)
-        if tr.next is None:
-            vn = np.zeros_like(v)
-        else:
-            i = nmap[k]
-            vn_members = (probs_nxt[id(tr.next)] * n_sweep[i]).sum(axis=1)
-            slot_of = {int(mid): s for s, mid in enumerate(tr.next.sg.members)}
-            vn = np.array(
-                [
-                    vn_members[slot_of[int(mid)]] if int(mid) in slot_of else n_raw[i]
-                    for mid in tr.step.sg.members
-                ]
-            )
-        deltas.append(tr.step.reward + tcfg.gamma * vn - v)
+    # v' of each own row: the successor's row of the same agent, found by its
+    # (step, agent) key, or the successor's plain value when the agent left it
+    own_sizes = sizes[: len(transitions)]
+    succ = np.repeat([-1 if tr.next is None else index[id(tr.next)] for tr in transitions], own_sizes)
+    stride = int(members.max()) + 1
+    keys = np.repeat(np.arange(len(steps)), sizes) * stride + members
+    order = np.argsort(keys)
+    want = succ * stride + members[: len(succ)]
+    hit = order[np.minimum(np.searchsorted(keys, want, sorter=order), len(keys) - 1)]
+    vn = np.where(keys[hit] == want, value[hit], plain[succ])
+    vn[succ < 0] = 0.0
 
+    reward = np.repeat([tr.step.reward for tr in transitions], own_sizes)
+    deltas = reward + tcfg.gamma * vn - value[: len(succ)]
+    per_transition = np.split(deltas, np.cumsum(own_sizes)[:-1])
     pol = _policy_pass(transitions, deltas, policy)
-    cri = _critic_pass(transitions, [float(d.sum()) for d in deltas], critic)
+    cri = _critic_pass(transitions, np.array([d.sum() for d in per_transition]), critic)
     return pol, cri
 
 
@@ -748,9 +737,10 @@ def graph_pg_episode_grads(
         g = returns_to_go(np.array([tr.step.reward for tr in trs]), tcfg.gamma)
         for tr, gt in zip(trs, g):
             g_of[(tr.t, centre)] = float(gt)
-    coeffs = [
-        np.full(tr.step.sg.n_members(), g_of[(tr.t, tr.centre)]) for tr in transitions
-    ]
+    coeffs = np.repeat(
+        [g_of[(tr.t, tr.centre)] for tr in transitions],
+        [tr.step.sg.n_members() for tr in transitions],
+    )
     return _policy_pass(transitions, coeffs, nets.policy)
 
 

@@ -32,7 +32,9 @@ from gridmarl.rl import (
     rollout_flat,
     rollout_graph,
 )
+from gridmarl.rl import trainer
 from gridmarl.rl.trainer import (
+    Transition,
     _sweep_batch,
     ac_episode_grads,
     chunked_critic_values,
@@ -194,8 +196,9 @@ class TestSweeps:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_sweep_batch_matches_per_entry_copies(self):
-        # loop reference: 5m single-graph copies per entry, copy c holding the
-        # base joint with member c // 5 switched to action c % 5
+        # loop reference: 4m single-graph copies per entry, one per member j
+        # and action a other than j's base action, members in order and
+        # actions ascending; the base joint itself is not copied
         nets, trs = self.build(seed=3)
         entries = [(tr.step.sg, tr.step.executed) for tr in trs]
         got = _sweep_batch(entries)
@@ -204,6 +207,8 @@ class TestSweeps:
         for sg, base in entries:
             m = sg.n_members()
             for c in range(5 * m):
+                if c % 5 == base[c // 5]:
+                    continue
                 joint = np.asarray(base).copy()
                 joint[c // 5] = c % 5
                 one = batch_subgraphs([sg], joints=[joint])
@@ -227,6 +232,31 @@ class TestSweeps:
         got = chunked_critic_values(entries, critic, row_budget=4)
         for v, (sg, joint) in zip(got, entries):
             assert v == pytest.approx(critic_forward(sg, joint, critic), abs=1e-12)
+
+    def test_sweep_chunks_stay_within_the_edge_budget(self, monkeypatch):
+        # a crowded world: sub-graphs of many members, each swept 4m times
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
+        ncfg = tiny_net_cfg()
+        nets = make_nets(tcfg, ncfg, seed=6)
+        world, res = graph_episode(battle_cfg(agents=8, episode_limit=4), tcfg, ncfg, nets, seed=6)
+        team_of = {a.id: a.team for a in world.agents}
+        entries = [(tr.step.sg, tr.step.executed) for tr in team_transitions(res.steps, team_of, 0)]
+        critic = nets[0].critic
+        budget = max(4 * sg.n_members() * len(sg.edge_src) for sg, _ in entries)
+        edges = []
+        plain = trainer.critic_values
+
+        def counting(batch, params, record=False):
+            edges.append(len(batch.edge_src))
+            return plain(batch, params, record=record)
+
+        monkeypatch.setattr(trainer, "critic_values", counting)
+        got = sweep_values(entries, critic, row_budget=10**9, edge_budget=budget)
+        assert len(edges) > 2  # the budget split the deviations, not only the base pass
+        assert max(edges) <= budget
+        whole = sweep_values(entries, critic, row_budget=10**9, edge_budget=10**9)
+        for a, b in zip(got, whole):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def naive_ac_grads(transitions, nets, tcfg):
@@ -285,6 +315,42 @@ class TestEpisodeGrads:
             want_p, want_c = naive_ac_grads(trs, nets[team], tcfg)
             params_allclose(pol, want_p)
             params_allclose(cri, want_c)
+
+    def test_per_step_call_matches_naive(self):
+        # per-step mode: one step's transitions, successors from the next
+        # step (none of them a step of the call), distributions recomputed
+        tcfg, nets, res, team_of = self.setup_ac(seed=1)
+        for t, sd in enumerate(res.steps):
+            nxt = res.steps[t + 1].per_centre if t + 1 < len(res.steps) else {}
+            for team in (0, 1):
+                trs = [
+                    Transition(step=ss, next=nxt.get(c), t=t)
+                    for c, ss in sd.per_centre.items()
+                    if team_of[c] == team
+                ]
+                pol, cri = ac_episode_grads(trs, nets[team], tcfg, fresh_probs=True)
+                want_p, want_c = naive_ac_grads(trs, nets[team], tcfg)
+                params_allclose(pol, want_p)
+                params_allclose(cri, want_c)
+
+    def test_batch_call_sweeps_each_step_once(self, monkeypatch):
+        # every successor is a later transition's own step, so the critic
+        # sees 4m^2 deviation rows and m base rows per step, plus the m rows
+        # of the recorded critic pass
+        tcfg, nets, res, team_of = self.setup_ac(seed=2)
+        trs = team_transitions(res.steps, team_of, 0)
+        assert any(tr.next is not None for tr in trs)
+        rows = []
+        plain = trainer.critic_values
+
+        def counting(batch, params, record=False):
+            rows.append(batch.n_vertices())
+            return plain(batch, params, record=record)
+
+        monkeypatch.setattr(trainer, "critic_values", counting)
+        ac_episode_grads(trs, nets[0], tcfg)
+        m = np.array([tr.step.sg.n_members() for tr in trs])
+        assert sum(rows) == int((4 * m**2 + m).sum() + m.sum())
 
     def test_ac_stored_vs_fresh_probs_agree_before_updates(self):
         # nothing has stepped the optimizer, so stored and recomputed
