@@ -488,12 +488,11 @@ def _sizes(sgs: Sequence[SubGraph]) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _chunks(
-    rows: np.ndarray, edges: np.ndarray, row_budget: int = ROW_BUDGET, edge_budget: int = EDGE_BUDGET
-) -> Iterator[slice]:
-    """Consecutive runs of items whose summed rows and edges fit both budgets.
+def _chunks(rows: np.ndarray, edges: np.ndarray, row_budget: int = ROW_BUDGET) -> Iterator[slice]:
+    """Consecutive runs of items whose summed rows and edges fit the budgets.
 
-    A run takes at least one item, so an item above a budget runs alone.
+    Rows are held to ``row_budget``, edges to ``EDGE_BUDGET``. A run takes at
+    least one item, so an item above a budget runs alone.
     """
     cum_rows = np.concatenate([[0], np.cumsum(rows)])
     cum_edges = np.concatenate([[0], np.cumsum(edges)])
@@ -501,19 +500,19 @@ def _chunks(
     while start < len(rows):
         end = min(
             np.searchsorted(cum_rows, cum_rows[start] + row_budget, side="right"),
-            np.searchsorted(cum_edges, cum_edges[start] + edge_budget, side="right"),
+            np.searchsorted(cum_edges, cum_edges[start] + EDGE_BUDGET, side="right"),
         )
         yield slice(start, end := max(int(end) - 1, start + 1))
         start = end
 
 
 def _sweep_batch(entries: Sequence[tuple[SubGraph, np.ndarray]]) -> GraphBatch:
-    """The single-member deviations of the entries as one union graph.
+    """The base joint and its single-member deviations as one union graph.
 
-    Entry i of m members contributes 4m copies of its sub-graph: copy c holds
-    the base joint with member c // 4 switched to the (c % 4)-th of the four
-    actions other than its base action, in ascending order. The base joint
-    itself is not copied; :func:`sweep_values` evaluates it once, plainly.
+    Entry i of m members contributes 4m + 1 copies of its sub-graph: copy 0
+    holds the base joint, and copy c > 0 holds it with member (c - 1) // 4
+    switched to the ((c - 1) % 4)-th of the four actions other than its base
+    action, in ascending order.
     """
     alts = N_ACTIONS - 1
     joints = [np.asarray(j, dtype=np.int64) for _, j in entries]
@@ -523,7 +522,7 @@ def _sweep_batch(entries: Sequence[tuple[SubGraph, np.ndarray]]) -> GraphBatch:
     entry_row = np.cumsum(sizes) - sizes  # base row of each entry's slot 0
     entry_edge = np.cumsum(n_edges) - n_edges
 
-    copies = alts * sizes
+    copies = alts * sizes + 1
     entry_of_copy = np.repeat(np.arange(len(entries)), copies)
     copy_in_entry = np.arange(len(entry_of_copy)) - np.repeat(np.cumsum(copies) - copies, copies)
     m_of_copy = sizes[entry_of_copy]
@@ -532,10 +531,11 @@ def _sweep_batch(entries: Sequence[tuple[SubGraph, np.ndarray]]) -> GraphBatch:
     copy_of_row = np.repeat(np.arange(len(m_of_copy)), m_of_copy)
     row = np.arange(len(copy_of_row)) - first_row[copy_of_row]
     x = np.take(base.x, entry_row[entry_of_copy][copy_of_row] + row, axis=0)
-    slot = copy_in_entry // alts
-    alt = copy_in_entry % alts
-    alt += alt >= held[entry_row[entry_of_copy] + slot]  # step over the base action
-    swept = first_row + slot
+    dev = np.flatnonzero(copy_in_entry)  # every copy but the base ones
+    slot = (copy_in_entry[dev] - 1) // alts
+    alt = (copy_in_entry[dev] - 1) % alts
+    alt += alt >= held[entry_row[entry_of_copy[dev]] + slot]  # step over the base action
+    swept = first_row[dev] + slot
     x[swept, -N_ACTIONS:] = 0.0
     x[swept, x.shape[1] - N_ACTIONS + alt] = 1.0
 
@@ -561,31 +561,29 @@ def sweep_values(
     entries: Sequence[tuple[SubGraph, np.ndarray]],
     critic: NetParams,
     row_budget: int = ROW_BUDGET,
-    edge_budget: int = EDGE_BUDGET,
 ) -> list[np.ndarray]:
     """Critic values for every (member, action) sweep of each entry.
 
     For an entry (sub-graph, base joint) the result is an (m, 5) array whose
-    (j, a) element is q(sg, base with member j's action replaced by a). One
-    plain pass (:func:`chunked_critic_values`) evaluates each base joint once
-    and fills every row's base-action column; the 4m single-member
-    deviations of all entries (:func:`_sweep_batch`) fill the rest in a few
-    large batched forwards. An entry of m members and e edges brings 4m^2
-    vertex rows and 4me edges to its forward; a forward holds at most
-    ``row_budget`` rows and ``edge_budget`` edges unless one entry alone
-    exceeds them.
+    (j, a) element is q(sg, base with member j's action replaced by a). The
+    base joint is evaluated once and fills every row's base-action column;
+    its 4m single-member deviations fill the rest. All entries' copies
+    (:func:`_sweep_batch`) run in a few large batched forwards. An entry of
+    m members and e edges brings (4m + 1)m vertex rows and (4m + 1)e edges
+    to its forward; a forward holds at most ``row_budget`` rows and
+    ``EDGE_BUDGET`` edges unless one entry alone exceeds them.
     """
     if not entries:
         return []
     sizes, n_edges = _sizes([sg for sg, _ in entries])
-    alts = N_ACTIONS - 1
-    parts = _chunks(alts * sizes**2, alts * sizes * n_edges, row_budget, edge_budget)
-    deviations = [critic_values(_sweep_batch(entries[part]), critic)[0] for part in parts]
-    base = chunked_critic_values(entries, critic, row_budget, edge_budget)
-    table = np.repeat(np.repeat(base, sizes)[:, None], N_ACTIONS, axis=1)
+    copies = (N_ACTIONS - 1) * sizes + 1
+    parts = _chunks(copies * sizes, copies * n_edges, row_budget)
+    values = np.concatenate([critic_values(_sweep_batch(entries[part]), critic)[0] for part in parts])
+    base = np.cumsum(copies) - copies  # each entry's base copy
+    table = np.repeat(np.repeat(values[base], sizes)[:, None], N_ACTIONS, axis=1)
     held = np.concatenate([np.asarray(j, dtype=np.int64) for _, j in entries])
     # row-major order: members in order, actions ascending, as _sweep_batch lays them out
-    table[np.arange(N_ACTIONS) != held[:, None]] = np.concatenate(deviations)
+    table[np.arange(N_ACTIONS) != held[:, None]] = np.delete(values, base)
     return np.split(table, np.cumsum(sizes)[:-1])
 
 
@@ -593,12 +591,11 @@ def chunked_critic_values(
     entries: Sequence[tuple[SubGraph, np.ndarray]],
     critic: NetParams,
     row_budget: int = ROW_BUDGET,
-    edge_budget: int = EDGE_BUDGET,
 ) -> np.ndarray:
     """Plain critic values for (sub-graph, joint) pairs, chunked."""
     vals = np.empty(len(entries))
     sgs = [sg for sg, _ in entries]
-    for part in _chunks(*_sizes(sgs), row_budget, edge_budget):
+    for part in _chunks(*_sizes(sgs), row_budget):
         batch = batch_subgraphs(sgs[part], joints=[j for _, j in entries[part]])
         vals[part] = critic_values(batch, critic)[0]
     return vals

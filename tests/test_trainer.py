@@ -196,9 +196,9 @@ class TestSweeps:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_sweep_batch_matches_per_entry_copies(self):
-        # loop reference: 4m single-graph copies per entry, one per member j
-        # and action a other than j's base action, members in order and
-        # actions ascending; the base joint itself is not copied
+        # loop reference: 4m + 1 single-graph copies per entry, the base
+        # joint first, then one per member j and action a other than j's
+        # base action, members in order and actions ascending
         nets, trs = self.build(seed=3)
         entries = [(tr.step.sg, tr.step.executed) for tr in trs]
         got = _sweep_batch(entries)
@@ -206,11 +206,12 @@ class TestSweeps:
         rows = 0
         for sg, base in entries:
             m = sg.n_members()
-            for c in range(5 * m):
-                if c % 5 == base[c // 5]:
+            for c in range(-1, 5 * m):
+                if c >= 0 and c % 5 == base[c // 5]:
                     continue
                 joint = np.asarray(base).copy()
-                joint[c // 5] = c % 5
+                if c >= 0:
+                    joint[c // 5] = c % 5
                 one = batch_subgraphs([sg], joints=[joint])
                 xs.append(one.x)
                 srcs.append(one.edge_src + rows)
@@ -234,7 +235,7 @@ class TestSweeps:
             assert v == pytest.approx(critic_forward(sg, joint, critic), abs=1e-12)
 
     def test_sweep_chunks_stay_within_the_edge_budget(self, monkeypatch):
-        # a crowded world: sub-graphs of many members, each swept 4m times
+        # a crowded world: sub-graphs of many members, each swept 4m + 1 times
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg, seed=6)
@@ -242,7 +243,7 @@ class TestSweeps:
         team_of = {a.id: a.team for a in world.agents}
         entries = [(tr.step.sg, tr.step.executed) for tr in team_transitions(res.steps, team_of, 0)]
         critic = nets[0].critic
-        budget = max(4 * sg.n_members() * len(sg.edge_src) for sg, _ in entries)
+        budget = max((4 * sg.n_members() + 1) * len(sg.edge_src) for sg, _ in entries)
         edges = []
         plain = trainer.critic_values
 
@@ -251,10 +252,14 @@ class TestSweeps:
             return plain(batch, params, record=record)
 
         monkeypatch.setattr(trainer, "critic_values", counting)
-        got = sweep_values(entries, critic, row_budget=10**9, edge_budget=budget)
-        assert len(edges) > 2  # the budget split the deviations, not only the base pass
+        monkeypatch.setattr(trainer, "EDGE_BUDGET", budget)
+        got = sweep_values(entries, critic, row_budget=10**9)
+        assert len(edges) > 1
         assert max(edges) <= budget
-        whole = sweep_values(entries, critic, row_budget=10**9, edge_budget=10**9)
+        monkeypatch.setattr(trainer, "EDGE_BUDGET", 10**9)
+        split = len(edges)
+        whole = sweep_values(entries, critic, row_budget=10**9)
+        assert len(edges) == split + 1
         for a, b in zip(got, whole):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
