@@ -35,6 +35,7 @@ from gridmarl.rl import (
 from gridmarl.rl import trainer
 from gridmarl.rl.trainer import (
     Transition,
+    _graph_step,
     _sweep_batch,
     ac_episode_grads,
     chunked_critic_values,
@@ -548,6 +549,70 @@ class TestTrainer:
             ):
                 diff = max(diff, float(np.max(np.abs(a.w - b.w))))
             assert diff > 0.0
+
+    def test_per_step_update_replays_by_hand(self):
+        tcfg = TrainerConfig(
+            algorithm="graph-ac", depth=2, batch_episodes=2, gamma=0.9, per_step_updates=True
+        )
+        ncfg = tiny_net_cfg()
+        tr = Trainer(battle_cfg(), tcfg, ncfg, seed=21)
+        rows = tr.train_batch()
+
+        # replay: each tick's transitions update both networks of their team
+        # once the next tick is sampled; the last tick has no successors
+        replay = Trainer(battle_cfg(), tcfg, ncfg, seed=21)
+        team_of = {a: replay.team_of(a) for a in replay._all_ids()}
+
+        def update(sd, nxt, t):
+            for team in replay.teams:
+                trs = [
+                    Transition(step=ss, next=nxt.per_centre.get(c) if nxt else None, t=t)
+                    for c, ss in sd.per_centre.items()
+                    if team_of[c] == team
+                ]
+                if not trs:
+                    continue
+                nets = replay.nets[team]
+                p, c = ac_episode_grads(trs, nets, tcfg, fresh_probs=True)
+                scale_(p, -1.0)
+                scale_(c, -1.0)
+                adam_step(nets.policy, p, nets.adam_policy)
+                adam_step(nets.critic, c, nets.adam_critic)
+
+        returns = {t: [] for t in replay.teams}
+        alive = {t: [] for t in replay.teams}
+        wins = {t: [] for t in replay.teams}
+        counts, sizes = [], []
+        for e in range(2):
+            world, rng = replay._world(0, e), replay._rng(0, e)
+            steps = []
+            while not world.finished:
+                steps.append(_graph_step(world, replay.nets, tcfg, ncfg, rng, "sample", frozenset()))
+                if len(steps) > 1:
+                    update(steps[-2], steps[-1], len(steps) - 2)
+            update(steps[-1], None, len(steps) - 1)
+            got = {a.id: 0.0 for a in world.agents}
+            for sd in steps:
+                for aid, r in sd.outcome.rewards.items():
+                    got[aid] += r
+            for t in replay.teams:
+                returns[t].append(np.mean([got[a.id] for a in world.agents if a.team == t]))
+                alive[t].append(world.num_alive(t))
+            wins[0].append(float(world.num_alive(0) > world.num_alive(1)))
+            wins[1].append(float(world.num_alive(1) > world.num_alive(0)))
+            counts.append(sum(len(sd.per_centre) for sd in steps))
+            sizes.append(sum(ss.sg.n_members() for sd in steps for ss in sd.per_centre.values()))
+
+        for team in replay.teams:
+            params_allclose(tr.nets[team].policy, replay.nets[team].policy, atol=0)
+            params_allclose(tr.nets[team].critic, replay.nets[team].critic, atol=0)
+            assert tr.nets[team].policy.version == replay.nets[team].policy.version > 2
+        for row in rows:
+            assert row.mean_reward == pytest.approx(np.mean(returns[row.team]), abs=1e-12)
+            assert row.win_rate == np.mean(wins[row.team])
+            assert row.mean_alive == np.mean(alive[row.team])
+            assert row.subgraph_count == np.mean(counts)
+            assert row.mean_subgraph_size == pytest.approx(sum(sizes) / sum(counts), abs=1e-12)
 
     def test_parallel_matches_sequential(self):
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=4)
