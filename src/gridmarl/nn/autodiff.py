@@ -86,12 +86,13 @@ def scatter_rows(x: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
 
     Same result, bit for bit, as ``np.add.at`` into zeros: each column is
     one weighted ``np.bincount``, which also adds from 0.0 in index order,
-    only several times faster.
+    only several times faster. The result is float64 even when ``seg`` is
+    empty, where ``np.bincount`` counts in int64.
     """
     if len(seg) and (seg.min() < 0 or seg.max() >= n):
         raise IndexError(f"segment ids must lie in [0, {n})")
     cols = [np.bincount(seg, weights=x[:, k], minlength=n) for k in range(x.shape[1])]
-    return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
+    return np.stack(cols, axis=1, dtype=np.float64) if cols else np.zeros((n, 0))
 
 
 def gather(x: Var, idx: np.ndarray) -> Var:

@@ -16,6 +16,7 @@ from gridmarl.nn.autodiff import (
     min_relu_preactivation,
     mul,
     relu,
+    scatter_rows,
     segment_sum,
 )
 
@@ -122,6 +123,13 @@ class TestOps:
         np.testing.assert_allclose(out.value, want)
         backward(out, seed)
         np.testing.assert_allclose(v.grad, seed[seg])
+
+    def test_scatter_rows_of_no_rows_is_float_zeros(self):
+        # an edge-less batch: np.bincount alone would count in int64
+        out = scatter_rows(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
+        assert out.dtype == np.float64
+        assert out.shape == (4, 3)
+        assert not out.any()
 
     def test_concat_cols(self):
         rng = np.random.default_rng(6)
