@@ -174,8 +174,8 @@ def _graph_trunk(batch: GraphBatch, params: NetParams, ops):
         z = ops.relu(ops.linear(cat, ops.layer(f"rounds.{r}.edge", rp.edge)))
         filt = ops.relu(ops.linear(z, ops.layer(f"rounds.{r}.z_rel", rp.z_rel)))
         sv = ops.linear(s, ops.layer(f"rounds.{r}.v_lin", rp.v_lin))
-        msg = ops.mul(ops.gather(sv, dst), filt)
-        agg = ops.segsum(msg, dst, batch.n_vertices())
+        # sum_e sv[dst_e] * filt_e over the edges into v is sv[v] * sum_e filt_e
+        agg = ops.mul(sv, ops.segsum(filt, dst, batch.n_vertices()))
         lift = ops.relu(ops.linear(agg, ops.layer(f"rounds.{r}.post_rel", rp.post_rel)))
         s = ops.add(s, ops.linear(lift, ops.layer(f"rounds.{r}.post_lin", rp.post_lin)))
     if params.pooled:
