@@ -98,7 +98,6 @@ def run_bench(
                 tcfg,
                 cfg.network,
                 seed=cfg.run.seed,
-                parallelism=cfg.run.parallelism,
                 world_factory=lambda b, e, pool=worlds: pool[e],
             )
             metrics = trainer.train_batch()

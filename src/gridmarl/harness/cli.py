@@ -52,9 +52,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.set)
     out = cfg.run.out_dir
     os.makedirs(out, exist_ok=True)
-    trainer = Trainer(
-        cfg.scenario, cfg.trainer, cfg.network, seed=cfg.run.seed, parallelism=cfg.run.parallelism
-    )
+    trainer = Trainer(cfg.scenario, cfg.trainer, cfg.network, seed=cfg.run.seed)
     ckpt_path = os.path.join(out, CHECKPOINT_NAME)
 
     def checkpoint() -> None:

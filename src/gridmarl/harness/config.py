@@ -2,7 +2,7 @@
 
 A run is fully described by ``scenario`` (what world to build), ``trainer``
 (which algorithm and its hyperparameters), ``network`` (architecture sizes)
-and ``run`` (seed, batch count, output directory, parallelism, cadence).
+and ``run`` (seed, batch count, output directory, cadence, timing).
 Unknown blocks or keys are rejected so a typo cannot silently fall back to
 a default. ``--set block.key=value`` overrides beat file values, and the
 GRIDMARL_OUT environment variable beats both for the output directory.
@@ -32,7 +32,7 @@ _TRAINER_KEYS = {
     "batch_episodes", "per_step_updates",
 }
 _NETWORK_KEYS = {"hidden", "rounds", "delta_d", "n_max"}
-_RUN_KEYS = {"seed", "batches", "out_dir", "parallelism", "metrics_every", "timing"}
+_RUN_KEYS = {"seed", "batches", "out_dir", "metrics_every", "timing"}
 _BLOCKS = ("scenario", "trainer", "network", "run")
 
 
@@ -43,15 +43,12 @@ class RunBlock:
     seed: int = 0
     batches: int = 10
     out_dir: str = "runs/latest"
-    parallelism: int = 1
     metrics_every: int = 1   # also the periodic-checkpoint cadence
     timing: bool = True      # False writes 0.0 seconds for byte-stable CSVs
 
     def validate(self) -> None:
         if self.batches < 0:
             raise ConfigError("run.batches must be non-negative")
-        if self.parallelism < 1:
-            raise ConfigError("run.parallelism must be at least 1")
         if self.metrics_every < 1:
             raise ConfigError("run.metrics_every must be at least 1")
         if not self.out_dir:

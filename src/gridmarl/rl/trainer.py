@@ -23,15 +23,13 @@ world executed. Updates accumulate over a batch of episodes (summed within an
 episode, averaged across episodes, negated into the Adam minimizer); an
 optional per-step mode applies updates inside the episode instead.
 
-Episodes of a batch run against frozen parameters with per-episode seeds
-derived from (run seed, batch, episode), so results are identical whether
-they execute sequentially or on a thread pool.
+Episodes run one after another; each draws its world and actions from seeds
+derived from (run seed, batch, episode).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -350,8 +348,13 @@ def rollout_graph(
     collect: bool = True,
     mode: str = "sample",
     random_teams: frozenset[int] = frozenset(),
+    on_step: Optional[Callable[[StepData], None]] = None,
 ) -> EpisodeResult:
-    """Run one episode to completion under the sub-graph pipeline."""
+    """Run one episode to completion under the sub-graph pipeline.
+
+    ``on_step`` is called with each step's record once the world has
+    advanced past it.
+    """
     steps: list[StepData] = []
     agent_returns: dict[int, float] = {}
     n_sub = 0
@@ -367,6 +370,8 @@ def rollout_graph(
             agent_returns[aid] = agent_returns.get(aid, 0.0) + r
         if collect:
             steps.append(sd)
+        if on_step is not None:
+            on_step(sd)
     stats = _episode_stats(world, agent_returns, n_steps, n_sub, size_sum)
     return EpisodeResult(steps=steps if collect else None, flat=None, stats=stats)
 
@@ -788,9 +793,8 @@ class BatchMetrics:
 class Trainer:
     """Owns per-team networks and advances them batch by batch.
 
-    Episode e of batch b always sees the rng streams derived from
-    (seed, b, e), so a sequential run and a thread-pooled run produce
-    identical parameters and metrics; only wall-clock differs.
+    Episode e of batch b always sees the world and rng streams derived from
+    (seed, b, e).
     """
 
     def __init__(
@@ -799,19 +803,15 @@ class Trainer:
         trainer: TrainerConfig,
         network: NetConfig,
         seed: int = 0,
-        parallelism: int = 1,
         world_factory: Optional[Callable[[int, int], GridWorld]] = None,
     ):
         trainer.validate()
         network.validate()
-        if parallelism < 1:
-            raise ConfigError("parallelism must be at least 1")
         probe = new_scenario(scenario, 0)
         self.scenario = scenario
         self.tcfg = trainer
         self.ncfg = network
         self.seed = seed
-        self.parallelism = parallelism
         self.teams = sorted({a.team for a in probe.agents})
         sizes = scenario.team_sizes()
         self._team_starts = np.cumsum([0] + sizes)
@@ -845,32 +845,26 @@ class Trainer:
         rng = self._rng(batch, ep)
         if self.tcfg.algorithm == "vanilla-pg":
             return rollout_flat(world, self.nets, rng, collect=True)
-        return rollout_graph(world, self.nets, self.tcfg, self.ncfg, rng, collect=True)
+        if not self.tcfg.per_step_updates:
+            return rollout_graph(world, self.nets, self.tcfg, self.ncfg, rng, collect=True)
 
-    def _episode_per_step(self, batch: int, ep: int) -> EpisodeResult:
-        """Alg-style online mode: each step's transitions update immediately
-        once the successor step has been sampled (values need its joint)."""
-        world = self._world(batch, ep)
-        rng = self._rng(batch, ep)
-        agent_returns: dict[int, float] = {}
-        n_steps = n_sub = size_sum = 0
+        # per-step mode: a step's transitions update the networks once the
+        # next step is sampled (values need its joint); the last has none
         prev: Optional[StepData] = None
-        prev_t = -1
-        while not world.finished:
-            sd = _graph_step(world, self.nets, self.tcfg, self.ncfg, rng, "sample", frozenset())
-            n_steps += 1
-            for ss in sd.per_centre.values():
-                n_sub += 1
-                size_sum += ss.sg.n_members()
-            for aid, r in sd.outcome.rewards.items():
-                agent_returns[aid] = agent_returns.get(aid, 0.0) + r
+        t = -1
+
+        def update_prev(sd: StepData) -> None:
+            nonlocal prev, t
             if prev is not None:
-                self._apply_step_updates(prev, sd, prev_t)
-            prev, prev_t = sd, prev_t + 1
+                self._apply_step_updates(prev, sd, t)
+            prev, t = sd, t + 1
+
+        res = rollout_graph(
+            world, self.nets, self.tcfg, self.ncfg, rng, collect=False, on_step=update_prev
+        )
         if prev is not None:
-            self._apply_step_updates(prev, None, prev_t)
-        stats = _episode_stats(world, agent_returns, n_steps, n_sub, size_sum)
-        return EpisodeResult(steps=None, flat=None, stats=stats)
+            self._apply_step_updates(prev, None, t)
+        return res
 
     def _apply_step_updates(self, sd: StepData, nxt: Optional[StepData], t: int) -> None:
         for team in self.teams:
@@ -889,21 +883,10 @@ class Trainer:
             assert nets.critic is not None and nets.adam_critic is not None
             adam_step(nets.critic, cri, nets.adam_critic)
 
-    def _run_episodes(self, count: int) -> list[EpisodeResult]:
-        b = self.batch_index
-        if self.parallelism == 1:
-            return [self._episode(b, e) for e in range(count)]
-        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            futures = [pool.submit(self._episode, b, e) for e in range(count)]
-            return [f.result() for f in futures]  # merged in episode order
-
     def train_batch(self) -> list[BatchMetrics]:
         t0 = time.perf_counter()
-        n = self.tcfg.batch_episodes
-        if self.tcfg.per_step_updates:
-            results = [self._episode_per_step(self.batch_index, e) for e in range(n)]
-        else:
-            results = self._run_episodes(n)
+        results = [self._episode(self.batch_index, e) for e in range(self.tcfg.batch_episodes)]
+        if not self.tcfg.per_step_updates:
             self._apply_batch_updates(results)
         seconds = time.perf_counter() - t0
         rows = []

@@ -552,7 +552,7 @@ def test_scaling_stays_subquadratic_and_fits_memory(report):
         scenario=base,
         trainer=TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=1),
         network=NetConfig(hidden=4, rounds=1),
-        run=RunBlock(seed=0, batches=1, out_dir="unused", parallelism=1, timing=True),
+        run=RunBlock(seed=0, batches=1, out_dir="unused", timing=True),
     )
     rows = run_bench(cfg, [10, 100, 1000], episodes=100, limit=2)
     t10, t100, t1000 = (r.seconds for r in rows)

@@ -614,19 +614,6 @@ class TestTrainer:
             assert row.subgraph_count == np.mean(counts)
             assert row.mean_subgraph_size == pytest.approx(sum(sizes) / sum(counts), abs=1e-12)
 
-    def test_parallel_matches_sequential(self):
-        tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=4)
-        ncfg = tiny_net_cfg()
-        seq = Trainer(battle_cfg(), tcfg, ncfg, seed=12, parallelism=1)
-        par = Trainer(battle_cfg(), tcfg, ncfg, seed=12, parallelism=4)
-        m1 = seq.train_batch()
-        m2 = par.train_batch()
-        for team in seq.teams:
-            params_allclose(seq.nets[team].policy, par.nets[team].policy, atol=0.0)
-            params_allclose(seq.nets[team].critic, par.nets[team].critic, atol=0.0)
-        for a, b in zip(m1, m2):
-            assert a.mean_reward == b.mean_reward and a.win_rate == b.win_rate
-
     def test_metrics_rows(self):
         tcfg = TrainerConfig(algorithm="graph-pg", depth=1, batch_episodes=2)
         tr = Trainer(jungle_cfg(), tcfg, tiny_net_cfg(), seed=13)
@@ -684,8 +671,6 @@ class TestTrainer:
             NetConfig(hidden=0).validate()
         with pytest.raises(ConfigError):
             NetConfig(delta_d=0.0).validate()
-        with pytest.raises(ConfigError):
-            Trainer(battle_cfg(), TrainerConfig(), NetConfig(), parallelism=0)
 
     def test_lr_schedule_flows_into_adam(self):
         tcfg = TrainerConfig(algorithm="graph-ac", depth=1, batch_episodes=1, lr_critic=0.02)
