@@ -493,18 +493,19 @@ def _sizes(sgs: Sequence[SubGraph]) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _chunks(rows: np.ndarray, edges: np.ndarray, row_budget: int = ROW_BUDGET) -> Iterator[slice]:
+def _chunks(rows: np.ndarray, edges: np.ndarray) -> Iterator[slice]:
     """Consecutive runs of items whose summed rows and edges fit the budgets.
 
-    Rows are held to ``row_budget``, edges to ``EDGE_BUDGET``. A run takes at
-    least one item, so an item above a budget runs alone.
+    Rows are held to ``ROW_BUDGET``, edges to ``EDGE_BUDGET``, both read at
+    call time. A run takes at least one item, so an item above a budget runs
+    alone.
     """
     cum_rows = np.concatenate([[0], np.cumsum(rows)])
     cum_edges = np.concatenate([[0], np.cumsum(edges)])
     start = 0
     while start < len(rows):
         end = min(
-            np.searchsorted(cum_rows, cum_rows[start] + row_budget, side="right"),
+            np.searchsorted(cum_rows, cum_rows[start] + ROW_BUDGET, side="right"),
             np.searchsorted(cum_edges, cum_edges[start] + EDGE_BUDGET, side="right"),
         )
         yield slice(start, end := max(int(end) - 1, start + 1))
@@ -565,7 +566,6 @@ def _sweep_batch(entries: Sequence[tuple[SubGraph, np.ndarray]]) -> GraphBatch:
 def sweep_values(
     entries: Sequence[tuple[SubGraph, np.ndarray]],
     critic: NetParams,
-    row_budget: int = ROW_BUDGET,
 ) -> list[np.ndarray]:
     """Critic values for every (member, action) sweep of each entry.
 
@@ -575,14 +575,14 @@ def sweep_values(
     its 4m single-member deviations fill the rest. All entries' copies
     (:func:`_sweep_batch`) run in a few large batched forwards. An entry of
     m members and e edges brings (4m + 1)m vertex rows and (4m + 1)e edges
-    to its forward; a forward holds at most ``row_budget`` rows and
+    to its forward; a forward holds at most ``ROW_BUDGET`` rows and
     ``EDGE_BUDGET`` edges unless one entry alone exceeds them.
     """
     if not entries:
         return []
     sizes, n_edges = _sizes([sg for sg, _ in entries])
     copies = (N_ACTIONS - 1) * sizes + 1
-    parts = _chunks(copies * sizes, copies * n_edges, row_budget)
+    parts = _chunks(copies * sizes, copies * n_edges)
     values = np.concatenate([critic_values(_sweep_batch(entries[part]), critic)[0] for part in parts])
     base = np.cumsum(copies) - copies  # each entry's base copy
     table = np.repeat(np.repeat(values[base], sizes)[:, None], N_ACTIONS, axis=1)
@@ -595,12 +595,11 @@ def sweep_values(
 def chunked_critic_values(
     entries: Sequence[tuple[SubGraph, np.ndarray]],
     critic: NetParams,
-    row_budget: int = ROW_BUDGET,
 ) -> np.ndarray:
     """Plain critic values for (sub-graph, joint) pairs, chunked."""
     vals = np.empty(len(entries))
     sgs = [sg for sg, _ in entries]
-    for part in _chunks(*_sizes(sgs), row_budget):
+    for part in _chunks(*_sizes(sgs)):
         batch = batch_subgraphs(sgs[part], joints=[j for _, j in entries[part]])
         vals[part] = critic_values(batch, critic)[0]
     return vals

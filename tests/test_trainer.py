@@ -186,12 +186,13 @@ class TestSweeps:
                         critic_forward(sg, swept, critic), abs=1e-9
                     )
 
-    def test_sweep_chunking_changes_nothing(self):
+    def test_sweep_chunking_changes_nothing(self, monkeypatch):
         nets, trs = self.build(seed=1)
         critic = nets[0].critic
         entries = [(tr.step.sg, tr.step.executed) for tr in trs]
         whole = sweep_values(entries, critic)
-        tiny = sweep_values(entries, critic, row_budget=8)
+        monkeypatch.setattr(trainer, "ROW_BUDGET", 8)
+        tiny = sweep_values(entries, critic)
         assert len(whole) == len(tiny)
         for a, b in zip(whole, tiny):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -227,11 +228,12 @@ class TestSweeps:
         np.testing.assert_array_equal(got.z0, np.concatenate(zs))
         np.testing.assert_array_equal(got.graph_of, np.concatenate(owner))
 
-    def test_chunked_values_match(self):
+    def test_chunked_values_match(self, monkeypatch):
         nets, trs = self.build(seed=2)
         critic = nets[0].critic
         entries = [(tr.step.sg, tr.step.executed) for tr in trs]
-        got = chunked_critic_values(entries, critic, row_budget=4)
+        monkeypatch.setattr(trainer, "ROW_BUDGET", 4)
+        got = chunked_critic_values(entries, critic)
         for v, (sg, joint) in zip(got, entries):
             assert v == pytest.approx(critic_forward(sg, joint, critic), abs=1e-12)
 
@@ -253,13 +255,14 @@ class TestSweeps:
             return plain(batch, params, record=record)
 
         monkeypatch.setattr(trainer, "critic_values", counting)
+        monkeypatch.setattr(trainer, "ROW_BUDGET", 10**9)
         monkeypatch.setattr(trainer, "EDGE_BUDGET", budget)
-        got = sweep_values(entries, critic, row_budget=10**9)
+        got = sweep_values(entries, critic)
         assert len(edges) > 1
         assert max(edges) <= budget
         monkeypatch.setattr(trainer, "EDGE_BUDGET", 10**9)
         split = len(edges)
-        whole = sweep_values(entries, critic, row_budget=10**9)
+        whole = sweep_values(entries, critic)
         assert len(edges) == split + 1
         for a, b in zip(got, whole):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
