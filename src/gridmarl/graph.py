@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyWorld, MemberNotFound, UnknownAgent
+from .errors import DomainError, EmptyWorld, MemberNotFound
 from .gridworld import (
     CH_FOOD,
     CH_LANDMARK,
@@ -141,12 +141,6 @@ class EnvGraph:
 
     def n_vertices(self) -> int:
         return len(self.ids)
-
-    def local_index(self, agent_id: int) -> int:
-        pos = int(np.searchsorted(self.ids, agent_id))
-        if pos >= len(self.ids) or self.ids[pos] != agent_id:
-            raise UnknownAgent(f"agent {agent_id} is not a vertex")
-        return pos
 
 
 def build_graph(world: GridWorld) -> EnvGraph:

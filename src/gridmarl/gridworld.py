@@ -134,13 +134,11 @@ class StepOutcome:
 
     ``rewards`` is keyed by every agent that was alive when the step began
     (agents dying this step still receive their reward).
-    ``joint_return_sample`` is the mean of those rewards.
     """
 
     rewards: dict[int, float]
     deaths: list[int]
     done: bool
-    joint_return_sample: float
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
@@ -205,9 +203,6 @@ class GridWorld:
 
     def num_alive(self, team: Optional[int] = None) -> int:
         return sum(1 for a in self.agents if a.alive and (team is None or a.team == team))
-
-    def num_teams(self) -> int:
-        return 1 if self.scenario is Scenario.JUNGLE else 2
 
     def target_cell(self) -> Optional[Position]:
         return self.landmarks[self.target] if self.target >= 0 else None
@@ -306,13 +301,7 @@ class GridWorld:
 
         rewards = self._rewards(movers, done)
         self.finished = done
-        sample = float(np.mean(list(rewards.values()))) if rewards else 0.0
-        return StepOutcome(
-            rewards=rewards,
-            deaths=sorted(a.id for a in deaths),
-            done=done,
-            joint_return_sample=sample,
-        )
+        return StepOutcome(rewards=rewards, deaths=sorted(a.id for a in deaths), done=done)
 
     def _neighbours(self, pos: Position, occupants: dict[Position, list[AgentState]]) -> Iterator[AgentState]:
         for dx, dy in NEIGHBOURS_8:

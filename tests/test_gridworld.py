@@ -317,11 +317,10 @@ class TestDeceptionRules:
 
 
 class TestOutcome:
-    def test_rewards_cover_all_movers_and_sample_is_mean(self):
+    def test_rewards_cover_all_movers(self):
         w = jungle(w=7, h=7, agents=3, foods=1, seed=2, limit=20)
         out = w.step(idle_joint(w))
         assert sorted(out.rewards) == [0, 1, 2]
-        assert out.joint_return_sample == pytest.approx(np.mean(list(out.rewards.values())))
 
     def test_dying_agents_still_rewarded(self):
         w = battle(w=9, h=9, agents=4, seed=0, limit=1)
