@@ -301,7 +301,11 @@ class GridWorld:
 
         rewards = self._rewards(movers, done)
         self.finished = done
-        return StepOutcome(rewards=rewards, deaths=sorted(a.id for a in deaths), done=done)
+        return StepOutcome(
+            rewards=rewards,
+            deaths=sorted(a.id for a in deaths),
+            done=done,
+        )
 
     def _neighbours(self, pos: Position, occupants: dict[Position, list[AgentState]]) -> Iterator[AgentState]:
         for dx, dy in NEIGHBOURS_8:
