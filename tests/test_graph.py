@@ -21,7 +21,7 @@ from gridmarl import (
     all_vertex_features,
     VERTEX_DIM,
 )
-from gridmarl.graph import EnvGraph
+from gridmarl.graph import EnvGraph, SubGraph, _rbe_rows
 
 
 def rbe_oracle(d: float, delta_d: float, n_max: int) -> list[float]:
@@ -72,6 +72,84 @@ def hop_distances(n: int, edges, src: int) -> dict[int, int]:
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def loop_decompose(g: EnvGraph, depth: int, delta_d: float = 0.3, n_max: int = 10) -> list[SubGraph]:
+    """Reference decomposition: one breadth-first search per centre.
+
+    Members come level by level, each level in ascending local index; the
+    induced edges are listed by source slot, then by ascending neighbour
+    index, each pair as (k, j) then (j, k).
+    """
+    adjacency: list[list[int]] = [[] for _ in g.ids]
+    for u, v in g.edges.tolist():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for neigh in adjacency:
+        neigh.sort()
+    pair_dist = dict(zip(map(tuple, g.edges.tolist()), g.dists.tolist()))
+
+    out = []
+    for centre_local in range(len(g.ids)):
+        members = [centre_local]
+        seen = {centre_local}
+        frontier = [centre_local]
+        for _ in range(depth):
+            nxt: set[int] = set()
+            for u in frontier:
+                for v in adjacency[u]:
+                    if v not in seen:
+                        nxt.add(v)
+            frontier = sorted(nxt)
+            seen.update(frontier)
+            members.extend(frontier)
+            if not frontier:
+                break
+
+        slot = {loc: k for k, loc in enumerate(members)}
+        src, dst, dist = [], [], []
+        for k, loc in enumerate(members):
+            for nb in adjacency[loc]:
+                j = slot.get(nb)
+                if j is None or j <= k:
+                    continue
+                d = pair_dist[(min(loc, nb), max(loc, nb))]
+                src += [k, j]
+                dst += [j, k]
+                dist += [d, d]
+
+        dist_arr = np.array(dist)
+        out.append(
+            SubGraph(
+                centre=int(g.ids[centre_local]),
+                members=g.ids[np.array(members, dtype=np.int64)],
+                features=g.features[np.array(members, dtype=np.int64)],
+                edge_src=np.array(src, dtype=np.int64),
+                edge_dst=np.array(dst, dtype=np.int64),
+                edge_dist=dist_arr,
+                edge_feat=_rbe_rows(dist_arr, delta_d, n_max) if len(dist) else np.zeros((0, n_max)),
+                depth=depth,
+            )
+        )
+    return out
+
+
+def stacked_world(rng: np.random.Generator, scenario: Scenario):
+    """A random world in which some agents share a cell and some are dead."""
+    side = int(rng.integers(4, 10))
+    n = int(rng.integers(2, side * side // 3 + 2))
+    agents = n if scenario is Scenario.JUNGLE else max(1, n // 2)
+    cfg = ScenarioConfig(scenario=scenario, width=side, height=side, agents=agents, episode_limit=50)
+    w = new_scenario(cfg, int(rng.integers(10_000)))
+    for a in w.agents:
+        u = rng.random()
+        if u < 0.15:
+            a.pos = w.agents[int(rng.integers(len(w.agents)))].pos
+        elif u < 0.25:
+            a.alive = False
+    if not any(a.alive for a in w.agents):
+        w.agents[0].alive = True
+    return w
 
 
 class TestRbe:
@@ -241,6 +319,25 @@ class TestDecompose:
             sg.member_slot(10_000)
         with pytest.raises(DomainError):
             decompose(g, 0)
+
+    def test_matches_loop_reference_exactly(self):
+        rng = np.random.default_rng(29)
+        stacked = isolated = 0
+        for scenario in (Scenario.JUNGLE, Scenario.BATTLE):
+            for _ in range(40):
+                g = build_graph(stacked_world(rng, scenario))
+                for k in (1, 2, 3):
+                    got, want = decompose(g, k), loop_decompose(g, k)
+                    assert len(got) == len(want)
+                    for a, b in zip(got, want):
+                        assert a.centre == b.centre and a.depth == b.depth
+                        for name in ("members", "features", "edge_src", "edge_dst", "edge_dist", "edge_feat"):
+                            x, y = getattr(a, name), getattr(b, name)
+                            assert x.dtype == y.dtype and x.shape == y.shape, name
+                            assert np.array_equal(x, y), name
+                        stacked += int(np.any(b.edge_dist == 0.0))
+                        isolated += int(b.n_members() == 1)
+        assert stacked and isolated  # both corner cases were exercised
 
     def test_empty_graph_rejected(self):
         empty = EnvGraph(

@@ -62,6 +62,23 @@ run:
 """
 
 
+# `gridmarl decompose --depth 2` on a 7x7 battle world from seed 3: member
+# order, edge pairs and their lengths; centre 4 stands alone
+DECOMPOSE_GOLDEN = """\
+world 7x7 battle seed 3: 10 agents, 10 sub-graphs (depth 2)
+sub-graph centre 0: members [0, 1, 2, 7, 6, 9] edges [(0,1) d=1.41, (0,2) d=1.00, (0,7) d=1.00, (1,2) d=1.00, (1,6) d=1.41, (2,6) d=1.00, (7,9) d=1.00]
+sub-graph centre 1: members [1, 0, 2, 6, 7, 8] edges [(0,1) d=1.41, (0,2) d=1.00, (0,7) d=1.00, (1,2) d=1.00, (1,6) d=1.41, (2,6) d=1.00, (6,8) d=1.41]
+sub-graph centre 2: members [2, 0, 1, 6, 7, 8] edges [(0,1) d=1.41, (0,2) d=1.00, (0,7) d=1.00, (1,2) d=1.00, (1,6) d=1.41, (2,6) d=1.00, (6,8) d=1.41]
+sub-graph centre 3: members [3, 5] edges [(3,5) d=1.00]
+sub-graph centre 4: members [4] edges []
+sub-graph centre 5: members [5, 3] edges [(3,5) d=1.00]
+sub-graph centre 6: members [6, 1, 2, 8, 0] edges [(0,1) d=1.41, (0,2) d=1.00, (1,2) d=1.00, (1,6) d=1.41, (2,6) d=1.00, (6,8) d=1.41]
+sub-graph centre 7: members [7, 0, 9, 1, 2] edges [(0,1) d=1.41, (0,2) d=1.00, (0,7) d=1.00, (1,2) d=1.00, (7,9) d=1.00]
+sub-graph centre 8: members [8, 6, 1, 2] edges [(1,2) d=1.00, (1,6) d=1.41, (2,6) d=1.00, (6,8) d=1.41]
+sub-graph centre 9: members [9, 7, 0] edges [(0,7) d=1.00, (7,9) d=1.00]
+"""
+
+
 def good_yaml(out_dir):
     return GOOD_YAML.replace("OUTDIR", str(out_dir))
 
@@ -558,6 +575,12 @@ class TestCli:
         assert "4 agents" in stdout
         assert stdout.count("sub-graph centre") == 4
         assert "members [" in stdout
+
+    def test_decompose_output_is_pinned(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: {type: battle, width: 7, height: 7, agents: 5}\nrun: {seed: 3}\n")
+        assert main(["decompose", str(cfg), "--depth", "2"]) == 0
+        assert capsys.readouterr().out == DECOMPOSE_GOLDEN
 
     def test_bench_command(self, tmp_path, capsys):
         cfg, out = self.write_config(tmp_path)

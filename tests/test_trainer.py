@@ -33,6 +33,7 @@ from gridmarl.rl import (
     rollout_graph,
 )
 from gridmarl.rl import trainer
+from gridmarl.rl.core import ensemble_action
 from gridmarl.rl.trainer import (
     Transition,
     _graph_step,
@@ -127,6 +128,46 @@ class TestRollout:
         assert res.stats.wins == {}
         _, res = graph_episode(battle_cfg(), tcfg, ncfg, nets)
         assert set(res.stats.wins) == {0, 1}
+
+
+    def test_ensemble_gets_each_agents_same_team_rows_in_centre_order(self, monkeypatch):
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
+        ncfg = tiny_net_cfg()
+        nets = make_nets(tcfg, ncfg)
+        world = new_scenario(battle_cfg(agents=8, episode_limit=4), 5)
+        rng = np.random.default_rng(9)
+        calls = []
+
+        def record(dists, mode="sample", rng=None):
+            calls.append(np.array(dists))
+            return ensemble_action(dists, mode=mode, rng=rng)
+
+        monkeypatch.setattr(trainer, "ensemble_action", record)
+        while not world.finished:
+            # the dict-of-lists construction: every same-team sub-graph's row
+            # of an agent, appended in ascending centre order
+            team_of = {a.id: a.team for a in world.agents}
+            sgs = decompose(build_graph(world), tcfg.depth, ncfg.delta_d, ncfg.n_max)
+            mine = [sg for sg in sgs if team_of[sg.centre] == 0]
+            logp, _ = policy_logprobs(batch_subgraphs(mine), nets[0].policy)
+            probs = np.exp(logp)
+            probs /= probs.sum(axis=1, keepdims=True)
+            dists = {}
+            row = 0
+            for sg in mine:
+                for k, mid in enumerate(sg.members.tolist()):
+                    if team_of[mid] == 0:
+                        dists.setdefault(mid, []).append(probs[row + k])
+                row += sg.n_members()
+            living = [a.id for a in world.alive_agents() if a.team == 0]
+
+            calls.clear()
+            _graph_step(world, nets, tcfg, ncfg, rng, "sample", frozenset({1}))
+            assert len(calls) == len(living)  # one call per living non-random agent
+            for aid, got in zip(living, calls):
+                reach = [sg.centre for sg in mine if aid in sg.members.tolist()]
+                assert len(got) == len(reach)  # same-team sub-graphs only
+                assert np.array_equal(got, np.array(dists[aid]))
 
 
 class TestTransitions:
