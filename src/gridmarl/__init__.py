@@ -26,6 +26,7 @@ from .errors import (
 from .graph import (
     DEFAULT_DELTA_D,
     DEFAULT_N_MAX,
+    Decomposition,
     EnvGraph,
     SubGraph,
     VERTEX_DIM,
@@ -70,6 +71,7 @@ __all__ = [
     "ConfigError",
     "DEFAULT_DELTA_D",
     "DEFAULT_N_MAX",
+    "Decomposition",
     "DomainError",
     "EmptyEnsemble",
     "EmptyWorld",

@@ -12,12 +12,23 @@ the graph into one sub-graph per agent holding everything within ``depth``
 breadth-first hops of it. Members are listed in breadth-first order with ties
 broken by ascending agent id, and every induced edge is materialized in both
 directions so the message passing can treat edges as directed.
+
+The decomposition is one :class:`Decomposition`, a struct of arrays rather
+than an object per sub-graph. The members of all sub-graphs are concatenated
+centre after centre, with their feature rows, and ``offsets`` marks where
+each sub-graph starts. The edges are concatenated the same way, with
+``edge_offsets``: endpoints as member slots local to their sub-graph, then
+lengths and radial-basis rows. Batched forwards read these arrays as they
+are; ``dec[i]`` gives sub-graph i as a :class:`SubGraph` view for code that
+handles one sub-graph at a time. All centres are searched at once, level by
+level, over the graph's adjacency in compressed sparse rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -67,16 +78,21 @@ def vertex_features(world: GridWorld, agent_id: int) -> np.ndarray:
     return np.concatenate([onehot, world.observe(agent_id).reshape(OBS_SIZE)])
 
 
-def all_vertex_features(world: GridWorld) -> tuple[np.ndarray, np.ndarray]:
-    """Features of every living agent at once (ids ascending).
-
-    Vectorized equivalent of calling :func:`vertex_features` per agent; the
-    per-channel boards are padded with a one-cell wall border so the window
-    gather needs no bounds handling.
-    """
-    alive = [a for a in world.agents if a.alive]
-    if not alive:
+def _alive(world: GridWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, x, y and team of every living agent, ids ascending."""
+    rows = [(a.id, a.pos.x, a.pos.y, a.team) for a in world.agents if a.alive]
+    if not rows:
         raise EmptyWorld("no living agents")
+    ids, xs, ys, teams = np.array(rows, dtype=np.int64).T
+    return ids, xs, ys, teams
+
+
+def _features(world: GridWorld, xs: np.ndarray, ys: np.ndarray, teams: np.ndarray) -> np.ndarray:
+    """Vertex features of the living agents at (xs, ys) of the given teams.
+
+    The per-channel boards are padded with a one-cell wall border so the
+    window gather needs no bounds handling.
+    """
     h, w = world.height, world.width
     wall = np.ones((h + 2, w + 2))
     wall[1:-1, 1:-1] = 0.0
@@ -93,14 +109,10 @@ def all_vertex_features(world: GridWorld) -> tuple[np.ndarray, np.ndarray]:
     if tgt is not None:
         tbonus[tgt.y + 1, tgt.x + 1] = 1.0
 
-    counts = np.zeros((2, h + 2, w + 2))
-    for a in alive:
-        counts[a.team, a.pos.y + 1, a.pos.x + 1] += 1.0
+    counts = np.zeros((2, h + 2, w + 2))  # living agents per team and cell
+    np.add.at(counts, (teams, ys + 1, xs + 1), 1.0)
 
-    n = len(alive)
-    xs = np.array([a.pos.x for a in alive])
-    ys = np.array([a.pos.y for a in alive])
-    teams = np.array([a.team for a in alive])
+    n = len(xs)
     dy, dx = np.mgrid[0:3, 0:3]
     rows = ys[:, None, None] + dy[None, :, :]
     cols = xs[:, None, None] + dx[None, :, :]
@@ -120,9 +132,26 @@ def all_vertex_features(world: GridWorld) -> tuple[np.ndarray, np.ndarray]:
 
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), teams] = 1.0
-    feats = np.concatenate([onehot, patch.reshape(n, OBS_SIZE)], axis=1)
-    ids = np.array([a.id for a in alive])
-    return ids, feats
+    return np.concatenate([onehot, patch.reshape(n, OBS_SIZE)], axis=1)
+
+
+def all_vertex_features(world: GridWorld) -> tuple[np.ndarray, np.ndarray]:
+    """Features of every living agent at once (ids ascending).
+
+    Vectorized equivalent of calling :func:`vertex_features` per agent.
+    """
+    ids, xs, ys, teams = _alive(world)
+    return ids, _features(world, xs, ys, teams)
+
+
+def _segment_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + lens[i] - 1, concatenated over i."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)])
 
 
 @dataclass
@@ -130,58 +159,71 @@ class EnvGraph:
     """The full interaction graph of one world snapshot.
 
     ``edges`` holds each undirected pair once as (u, v) local indices with
-    u < v; ``adjacency`` lists neighbours per local index, ascending.
+    u < v. The adjacency follows from them in compressed sparse rows: the
+    neighbours of local index u are ``nbrs[indptr[u]:indptr[u + 1]]``,
+    ascending, and ``nbr_dist`` holds the matching edge lengths.
     """
 
     ids: np.ndarray        # (n,) agent ids, ascending
     features: np.ndarray   # (n, VERTEX_DIM)
     edges: np.ndarray      # (e, 2) int local indices, u < v
     dists: np.ndarray      # (e,) Euclidean lengths
-    adjacency: list[list[int]]
+    indptr: np.ndarray = field(init=False)    # (n + 1,)
+    nbrs: np.ndarray = field(init=False)      # (2e,) local indices
+    nbr_dist: np.ndarray = field(init=False)  # (2e,)
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.argsort(src * n + dst)
+        self.indptr = _offsets(np.bincount(src, minlength=n))
+        self.nbrs = dst[order]
+        self.nbr_dist = np.concatenate([self.dists, self.dists])[order]
 
     def n_vertices(self) -> int:
         return len(self.ids)
 
 
+# (dy, dx) of the 3x3 window in row-major order, and its Euclidean lengths
+_WINDOW = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+_WINDOW_LEN = np.array([math.sqrt(dx * dx + dy * dy) for dy, dx in _WINDOW])
+
+
 def build_graph(world: GridWorld) -> EnvGraph:
-    """Snapshot the interaction graph of the world's living agents."""
-    ids, feats = all_vertex_features(world)
-    alive = [a for a in world.agents if a.alive]
-    cell_of = {}
-    for local, a in enumerate(alive):
-        cell_of.setdefault(a.pos, []).append(local)
+    """Snapshot the interaction graph of the world's living agents.
 
-    edge_list: list[tuple[int, int]] = []
-    dist_list: list[float] = []
-    adjacency: list[list[int]] = [[] for _ in alive]
-    for u, a in enumerate(alive):
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                cell = (a.pos.x + dx, a.pos.y + dy)
-                for v in cell_of.get(cell, ()):
-                    if v <= u:
-                        continue
-                    d = math.sqrt(dx * dx + dy * dy)
-                    edge_list.append((u, v))
-                    dist_list.append(d)
-                    adjacency[u].append(v)
-                    adjacency[v].append(u)
-    for neigh in adjacency:
-        neigh.sort()
-
-    edges = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
+    Neighbour pairs come from sorting the agents by cell: each agent looks
+    up the agents of the nine cells of its window in the sorted order.
+    Pairs are listed by u, then by window cell in row-major order, then by
+    ascending v.
+    """
+    ids, xs, ys, teams = _alive(world)
+    stride = world.width + 2  # a padded row, so no window wraps to the next
+    cell = (ys + 1) * stride + (xs + 1)
+    by_cell = np.argsort(cell, kind="stable")  # within a cell, ascending local index
+    sorted_cells = cell[by_cell]
+    window = cell[:, None] + np.array([dy * stride + dx for dy, dx in _WINDOW])
+    lo = np.searchsorted(sorted_cells, window, side="left").ravel()
+    hits = np.searchsorted(sorted_cells, window, side="right").ravel() - lo
+    # one candidate per (u, window cell, occupant), in that order
+    cand = np.repeat(np.arange(len(lo)), hits)
+    v = by_cell[_segment_arange(lo, hits)]
+    u = cand // len(_WINDOW)
+    keep = v > u
     return EnvGraph(
         ids=ids,
-        features=feats,
-        edges=edges,
-        dists=np.array(dist_list),
-        adjacency=adjacency,
+        features=_features(world, xs, ys, teams),
+        edges=np.stack([u[keep], v[keep]], axis=1),
+        dists=_WINDOW_LEN[cand[keep] % len(_WINDOW)],
     )
 
 
 @dataclass
 class SubGraph:
     """Everything within ``depth`` hops of one centre agent.
+
+    :class:`Decomposition` hands these out as views of its arrays.
 
     ``members`` are agent ids in breadth-first order (centre first, ties by
     ascending id). Edges are the induced ones, materialized in both
@@ -207,63 +249,143 @@ class SubGraph:
         return int(hits[0])
 
 
+@dataclass
+class Decomposition:
+    """Every sub-graph of one graph, stored as concatenated arrays.
+
+    Sub-graph i is centred on agent ``centres[i]``. Its members are rows
+    ``offsets[i]:offsets[i + 1]`` of ``members`` and ``features``; its
+    edges are rows ``edge_offsets[i]:edge_offsets[i + 1]`` of the edge
+    arrays, whose ``edge_src``/``edge_dst`` index the sub-graph's own member
+    list. ``len``, iteration and ``dec[i]`` give :class:`SubGraph` views.
+    """
+
+    centres: np.ndarray       # (s,) agent ids
+    members: np.ndarray       # (M,) agent ids, sub-graph after sub-graph
+    features: np.ndarray      # (M, VERTEX_DIM)
+    offsets: np.ndarray       # (s + 1,)
+    edge_src: np.ndarray      # (E,) member slots within the sub-graph
+    edge_dst: np.ndarray      # (E,)
+    edge_dist: np.ndarray     # (E,)
+    edge_feat: np.ndarray     # (E, n_max)
+    edge_offsets: np.ndarray  # (s + 1,)
+    depth: int
+
+    def __len__(self) -> int:
+        return len(self.centres)
+
+    def __getitem__(self, i: int) -> SubGraph:
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        elo, ehi = self.edge_offsets[i], self.edge_offsets[i + 1]
+        return SubGraph(
+            centre=int(self.centres[i]),
+            members=self.members[lo:hi],
+            features=self.features[lo:hi],
+            edge_src=self.edge_src[elo:ehi],
+            edge_dst=self.edge_dst[elo:ehi],
+            edge_dist=self.edge_dist[elo:ehi],
+            edge_feat=self.edge_feat[elo:ehi],
+            depth=self.depth,
+        )
+
+    def __iter__(self) -> Iterator[SubGraph]:
+        return (self[i] for i in range(len(self)))
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """Member rows of the sub-graphs ``index``, in that order."""
+        return _segment_arange(self.offsets[index], self.sizes()[index])
+
+    def take(self, index: np.ndarray) -> Decomposition:
+        """The sub-graphs ``index``, in that order, as a decomposition of their own."""
+        rows = self.rows(index)
+        n_edges = np.diff(self.edge_offsets)[index]
+        edges = _segment_arange(self.edge_offsets[index], n_edges)
+        return Decomposition(
+            centres=self.centres[index],
+            members=self.members[rows],
+            features=self.features[rows],
+            offsets=_offsets(self.sizes()[index]),
+            edge_src=self.edge_src[edges],
+            edge_dst=self.edge_dst[edges],
+            edge_dist=self.edge_dist[edges],
+            edge_feat=self.edge_feat[edges],
+            edge_offsets=_offsets(n_edges),
+            depth=self.depth,
+        )
+
+
 def decompose(
     g: EnvGraph,
     depth: int = 3,
     delta_d: float = DEFAULT_DELTA_D,
     n_max: int = DEFAULT_N_MAX,
-) -> list[SubGraph]:
-    """One sub-graph per vertex, in ascending agent-id order."""
+) -> Decomposition:
+    """One sub-graph per vertex, in ascending agent-id order.
+
+    All centres search at once. A (centre, vertex) pair is keyed
+    centre * n + vertex; each breadth-first level expands the previous
+    level's pairs over the adjacency rows and keeps the unique keys not
+    reached before, so a level comes out in ascending vertex order per
+    centre. An induced edge is a member's neighbour that is a member of the
+    same sub-graph at a later slot, found by a sorted search of the member
+    keys; it is listed by source slot, then by ascending neighbour, each
+    pair as (k, j) then (j, k).
+    """
     if depth < 1:
         raise DomainError(f"depth must be at least 1, got {depth}")
-    if g.n_vertices() == 0:
+    n = g.n_vertices()
+    if n == 0:
         raise EmptyWorld("cannot decompose an empty graph")
+    deg = np.diff(g.indptr)
 
-    # index undirected edges for induced-edge lookup
-    pair_dist = dict(zip(map(tuple, g.edges.tolist()), g.dists.tolist()))
+    def expand(centre: np.ndarray, vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each (centre, vertex) pair's adjacency entries, vertex by vertex."""
+        k = deg[vertex]
+        return np.repeat(centre, k), _segment_arange(g.indptr[vertex], k)
 
-    out: list[SubGraph] = []
-    for centre_local in range(g.n_vertices()):
-        members = [centre_local]
-        seen = {centre_local}
-        frontier = [centre_local]
-        for _ in range(depth):
-            nxt: set[int] = set()
-            for u in frontier:
-                for v in g.adjacency[u]:
-                    if v not in seen:
-                        nxt.add(v)
-            frontier = sorted(nxt)  # breadth-first level, ascending id
-            seen.update(frontier)
-            members.extend(frontier)
-            if not frontier:
-                break
+    level = np.arange(n) * n + np.arange(n)  # level 0: each centre alone
+    levels = [level]
+    seen = level  # sorted
+    for _ in range(depth):
+        centre, adj = expand(level // n, level % n)
+        level = np.sort(centre * n + g.nbrs[adj])
+        new = np.ones(len(level), dtype=bool)
+        new[1:] = level[1:] != level[:-1]
+        new &= seen[np.minimum(np.searchsorted(seen, level), len(seen) - 1)] != level
+        level = level[new]
+        if not len(level):
+            break
+        levels.append(level)
+        seen = np.sort(np.concatenate([seen, level]), kind="stable")
 
-        slot = {loc: k for k, loc in enumerate(members)}
-        src, dst, dist = [], [], []
-        for k, loc in enumerate(members):
-            for nb in g.adjacency[loc]:
-                j = slot.get(nb)
-                if j is None or j <= k:
-                    continue
-                d = pair_dist[(min(loc, nb), max(loc, nb))]
-                src += [k, j]
-                dst += [j, k]
-                dist += [d, d]
+    keys = np.concatenate(levels)
+    keys = keys[np.argsort(keys // n, kind="stable")]  # by centre, then level
+    centre, vertex = keys // n, keys % n
+    offsets = _offsets(np.bincount(centre, minlength=n))
+    slot = np.arange(len(keys)) - offsets[centre]
 
-        dist_arr = np.array(dist)
-        out.append(
-            SubGraph(
-                centre=int(g.ids[centre_local]),
-                members=g.ids[np.array(members, dtype=np.int64)],
-                features=g.features[np.array(members, dtype=np.int64)],
-                edge_src=np.array(src, dtype=np.int64),
-                edge_dst=np.array(dst, dtype=np.int64),
-                edge_dist=dist_arr,
-                edge_feat=_rbe_rows(dist_arr, delta_d, n_max)
-                if len(dist)
-                else np.zeros((0, n_max)),
-                depth=depth,
-            )
-        )
-    return out
+    row_of, adj = expand(np.arange(len(keys)), vertex)
+    want = centre[row_of] * n + g.nbrs[adj]
+    by_key = np.argsort(keys)
+    hit = by_key[np.minimum(np.searchsorted(keys, want, sorter=by_key), len(keys) - 1)]
+    keep = (keys[hit] == want) & (slot[hit] > slot[row_of])
+    k, j = slot[row_of[keep]], slot[hit[keep]]
+    edge_src = np.stack([k, j], axis=1).ravel()
+    edge_dist = np.repeat(g.nbr_dist[adj[keep]], 2)
+    # a row depends on its length alone, and a grid has few distinct lengths
+    lengths, length_of = np.unique(edge_dist, return_inverse=True)
+    return Decomposition(
+        centres=g.ids,
+        members=g.ids[vertex],
+        features=g.features[vertex],
+        offsets=offsets,
+        edge_src=edge_src,
+        edge_dst=np.stack([j, k], axis=1).ravel(),
+        edge_dist=edge_dist,
+        edge_feat=_rbe_rows(lengths, delta_d, n_max)[length_of],
+        edge_offsets=_offsets(2 * np.bincount(centre[row_of[keep]], minlength=n)),
+        depth=depth,
+    )

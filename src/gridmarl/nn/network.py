@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ShapeError, StaleTrace
-from ..graph import SubGraph
+from ..graph import Decomposition, SubGraph
 from ..gridworld import N_ACTIONS
 from . import autodiff as ad
 from .params import LayerParams, MlpParams, NetParams, Params, zeros_like_params
@@ -45,29 +45,39 @@ class GraphBatch:
 
 
 def batch_subgraphs(
-    sgs: Sequence[SubGraph],
+    sgs: Decomposition | Sequence[SubGraph],
     joints: Optional[Sequence[np.ndarray]] = None,
 ) -> GraphBatch:
     """Stack sub-graphs into one union graph.
 
-    With ``joints`` (one action vector per sub-graph, aligned with its
-    members) each vertex input gains a one-hot action block: the critic's
-    input layout. Plain vertex features otherwise: the policy's.
+    ``sgs`` is a decomposition, whose arrays are stacked already, or a
+    sequence of sub-graphs. With ``joints`` (one action vector per sub-graph,
+    aligned with its members) each vertex input gains a one-hot action
+    block: the critic's input layout. Plain vertex features otherwise: the
+    policy's.
     """
-    sizes = np.array([sg.n_members() for sg in sgs], dtype=np.int64)
-    x = np.concatenate([sg.features for sg in sgs], axis=0)
+    if isinstance(sgs, Decomposition):
+        sizes, n_edges = sgs.sizes(), np.diff(sgs.edge_offsets)
+        x, src, dst, z0 = sgs.features, sgs.edge_src, sgs.edge_dst, sgs.edge_feat
+    else:
+        sizes = np.array([sg.n_members() for sg in sgs], dtype=np.int64)
+        n_edges = np.array([len(sg.edge_src) for sg in sgs], dtype=np.int64)
+        x = np.concatenate([sg.features for sg in sgs], axis=0)
+        src = np.concatenate([sg.edge_src for sg in sgs])
+        dst = np.concatenate([sg.edge_dst for sg in sgs])
+        z0 = np.concatenate([sg.edge_feat for sg in sgs], axis=0)
     if joints is not None:
         acts = np.concatenate([np.asarray(j, dtype=np.int64) for j in joints])
         x = np.concatenate([x, np.eye(N_ACTIONS)[acts]], axis=1)
     # every edge index shifts by the rows of the sub-graphs stacked before it
-    shift = np.repeat(np.cumsum(sizes) - sizes, [len(sg.edge_src) for sg in sgs])
+    shift = np.repeat(np.cumsum(sizes) - sizes, n_edges)
     return GraphBatch(
         x=x,
-        edge_src=np.concatenate([sg.edge_src for sg in sgs]) + shift,
-        edge_dst=np.concatenate([sg.edge_dst for sg in sgs]) + shift,
-        z0=np.concatenate([sg.edge_feat for sg in sgs], axis=0),
-        graph_of=np.repeat(np.arange(len(sgs), dtype=np.int64), sizes),
-        n_graphs=len(sgs),
+        edge_src=src + shift,
+        edge_dst=dst + shift,
+        z0=z0,
+        graph_of=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+        n_graphs=len(sizes),
     )
 
 

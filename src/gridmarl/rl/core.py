@@ -37,9 +37,9 @@ def ensemble_action(
     if stack.ndim != 2 or stack.shape[1] != N_ACTIONS:
         raise ShapeError(f"expected shape (k, {N_ACTIONS}), got {stack.shape}")
     mean = np.add.reduce(stack, axis=0) / len(stack)  # what stack.mean(axis=0) computes
-    mean = mean / mean.sum()
+    mean /= np.add.reduce(mean)
     if mode == "greedy":
-        return int(np.argmax(mean)), mean
+        return int(mean.argmax()), mean
     if mode != "sample":
         raise DomainError(f"unknown ensemble mode {mode!r}")
     if rng is None:

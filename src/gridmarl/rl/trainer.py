@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from ..errors import ConfigError
 from ..graph import (
     DEFAULT_DELTA_D,
     DEFAULT_N_MAX,
+    Decomposition,
     SubGraph,
     VERTEX_DIM,
     all_vertex_features,
@@ -177,8 +179,35 @@ class SubStep:
 
 @dataclass
 class StepData:
-    per_centre: dict[int, SubStep]
+    """One tick of a graph rollout, kept as arrays.
+
+    ``acting`` indexes the sub-graphs whose centre's team sampled them from
+    its policy; ``probs`` holds their member rows (the rows of other
+    sub-graphs are unset). ``drawn`` and ``executed`` are indexed by agent
+    id. :attr:`per_centre` builds the per-sub-graph records that training
+    reads, once, on first use.
+    """
+
+    dec: Decomposition
+    acting: np.ndarray    # (s',) sub-graph indices, ascending
+    probs: np.ndarray     # (M, 5) member distributions, rows of dec
+    drawn: np.ndarray     # ensemble draw per agent id, before coercion
+    executed: np.ndarray  # post-coercion action per agent id
     outcome: StepOutcome
+
+    @cached_property
+    def per_centre(self) -> dict[int, SubStep]:
+        out = {}
+        for i in self.acting.tolist():
+            sg = self.dec[i]
+            out[sg.centre] = SubStep(
+                sg=sg,
+                probs=self.probs[self.dec.offsets[i] : self.dec.offsets[i + 1]],
+                sampled=self.drawn[sg.members],
+                executed=self.executed[sg.members],
+                reward=self.outcome.rewards[sg.centre],
+            )
+        return out
 
 
 @dataclass
@@ -264,13 +293,23 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(acts, N_ACTIONS - 1).astype(np.int64)
 
 
-def _coerce(world: GridWorld, agent: AgentState, act: int) -> Action:
-    """The action the world carries out: a blocked move becomes Idle."""
-    action = Action(act)
-    dx, dy = MOVES[action]
-    if action is not Action.IDLE and world.blocked(agent.pos.x + dx, agent.pos.y + dy):
-        return Action.IDLE
-    return action
+# (dx, dy) per action, in action order
+_MOVE_XY = np.array([MOVES[a] for a in Action], dtype=np.int64)
+
+
+def _coerce(world: GridWorld, agents: Sequence[AgentState], acts: np.ndarray) -> np.ndarray:
+    """The actions the world carries out: a blocked move becomes Idle.
+
+    The board of enterable cells has a blocked one-cell border, so a move
+    off the grid needs no bounds test.
+    """
+    free = np.zeros((world.height + 2, world.width + 2), dtype=bool)
+    free[1:-1, 1:-1] = True
+    for p in world.walls | world.foods:
+        free[p.y + 1, p.x + 1] = False
+    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
+    x, y = (pos + 1 + _MOVE_XY[acts]).T
+    return np.where(free[y, x], acts, int(Action.IDLE))
 
 
 def _graph_step(
@@ -283,60 +322,47 @@ def _graph_step(
     random_teams: frozenset[int],
 ) -> StepData:
     """Sample, ensemble, coerce, and advance the world by one tick."""
-    team_of = _team_of(world)
-    g = build_graph(world)
-    sgs = decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max)
-    by_team: dict[int, list[SubGraph]] = {}
-    for sg in sgs:
-        by_team.setdefault(team_of[sg.centre], []).append(sg)
+    team_of = np.array([a.team for a in world.agents], dtype=np.int64)
+    dec = decompose(build_graph(world), tcfg.depth, ncfg.delta_d, ncfg.n_max)
+    centre_team = team_of[dec.centres]
+    acting = np.flatnonzero(~np.isin(centre_team, list(random_teams)))
 
-    sampled_on: list[tuple[SubGraph, np.ndarray]] = []  # (sub-graph, member probs)
-    dists: dict[int, list[np.ndarray]] = {}
-    for team in sorted(by_team):
-        if team in random_teams:
-            continue
-        batch = batch_subgraphs(by_team[team])
-        logp, _ = policy_logprobs(batch, nets[team].policy)
-        probs = np.exp(logp)
-        probs /= probs.sum(axis=1, keepdims=True)
+    probs = np.empty((len(dec.members), N_ACTIONS))
+    for team in np.unique(centre_team[acting]).tolist():
+        mine = acting[centre_team[acting] == team]
+        logp, _ = policy_logprobs(batch_subgraphs(dec.take(mine)), nets[team].policy)
+        p = np.exp(logp)
+        p /= p.sum(axis=1, keepdims=True)
         if mode == "sample":
             # nothing reads these per-sub-graph draws; the call stays because
             # seeded runs depend on the rng stream it consumes
-            _sample_rows(probs, rng)
-        row = 0
-        for sg in by_team[team]:
-            m = sg.n_members()
-            p = probs[row : row + m]
-            sampled_on.append((sg, p))
-            for k, mid in enumerate(sg.members.tolist()):
-                if team_of[mid] == team:
-                    dists.setdefault(mid, []).append(p[k])
-            row += m
+            _sample_rows(p, rng)
+        probs[dec.rows(mine)] = p
+
+    # an agent ensembles its rows of the sub-graphs its own team sampled,
+    # grouped by agent in ascending centre order
+    own = dec.rows(acting)
+    own = own[team_of[dec.members[own]] == np.repeat(centre_team, dec.sizes())[own]]
+    own = own[np.argsort(dec.members[own], kind="stable")]
+    grouped = probs[own]
+    count = np.bincount(dec.members[own], minlength=len(world.agents))
+    first = np.cumsum(count) - count
 
     # per agent id; every sub-graph member is a living agent and gets both
     drawn = np.zeros(len(world.agents), dtype=np.int64)
     executed = np.zeros(len(world.agents), dtype=np.int64)
-    joint: dict[int, Action] = {}
-    for a in world.alive_agents():
+    alive = list(world.alive_agents())
+    for a in alive:
         if a.team in random_teams:
-            act = int(rng.integers(N_ACTIONS))
+            drawn[a.id] = rng.integers(N_ACTIONS)
         else:
-            act, _ = ensemble_action(dists[a.id], mode=mode, rng=rng)
-        drawn[a.id] = act
-        joint[a.id] = executed[a.id] = _coerce(world, a, act)
+            lo = first[a.id]
+            drawn[a.id], _ = ensemble_action(grouped[lo : lo + count[a.id]], mode=mode, rng=rng)
+    ids = np.array([a.id for a in alive], dtype=np.int64)
+    executed[ids] = _coerce(world, alive, drawn[ids])
 
-    outcome = world.step(joint)
-    per_centre = {
-        sg.centre: SubStep(
-            sg=sg,
-            probs=p,
-            sampled=drawn[sg.members],
-            executed=executed[sg.members],
-            reward=outcome.rewards[sg.centre],
-        )
-        for sg, p in sampled_on
-    }
-    return StepData(per_centre=per_centre, outcome=outcome)
+    outcome = world.step(dict(zip(ids.tolist(), executed[ids].tolist())))
+    return StepData(dec=dec, acting=acting, probs=probs, drawn=drawn, executed=executed, outcome=outcome)
 
 
 def rollout_graph(
@@ -363,9 +389,8 @@ def rollout_graph(
     while not world.finished:
         sd = _graph_step(world, nets, tcfg, ncfg, rng, mode, random_teams)
         n_steps += 1
-        for ss in sd.per_centre.values():
-            n_sub += 1
-            size_sum += ss.sg.n_members()
+        n_sub += len(sd.acting)
+        size_sum += int(sd.dec.sizes()[sd.acting].sum())
         for aid, r in sd.outcome.rewards.items():
             agent_returns[aid] = agent_returns.get(aid, 0.0) + r
         if collect:
@@ -387,7 +412,6 @@ def _flat_step(
     ids, feats = all_vertex_features(world)
     team_of = _team_of(world)
     teams = sorted({a.team for a in world.agents})
-    joint: dict[int, Action] = {}
     sampled: dict[int, int] = {}
     rows: dict[int, np.ndarray] = {}
     for team in teams:
@@ -399,7 +423,8 @@ def _flat_step(
         probs /= probs.sum(axis=1, keepdims=True)
         rows[team] = probs
     cursor = {t: 0 for t in rows}
-    for a in world.alive_agents():
+    alive = list(world.alive_agents())
+    for a in alive:
         if a.team in random_teams:
             act = int(rng.integers(N_ACTIONS))
         else:
@@ -411,8 +436,8 @@ def _flat_step(
             else:
                 act = int(np.argmax(probs))
         sampled[a.id] = act
-        joint[a.id] = _coerce(world, a, act)
-    outcome = world.step(joint)
+    executed = _coerce(world, alive, np.array([sampled[a.id] for a in alive], dtype=np.int64))
+    outcome = world.step(dict(zip(sampled, executed.tolist())))
     records: dict[int, FlatStep] = {}
     for team in teams:
         if team in random_teams:

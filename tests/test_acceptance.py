@@ -103,7 +103,7 @@ def test_edge_encoding_matches_high_precision_reference(report):
 # -- 2: decomposition vs shortest-path oracle ---------------------------------
 
 
-def _random_interaction_graph(rng) -> EnvGraph:
+def _random_interaction_graph(rng) -> tuple[EnvGraph, list[list[int]]]:
     n = int(rng.integers(1, 21))
     p = float(rng.uniform(0.0, 0.6))
     edges, dists = [], []
@@ -115,13 +115,13 @@ def _random_interaction_graph(rng) -> EnvGraph:
                 dists.append(float(rng.uniform(0.1, 1.4)))
                 adjacency[u].append(v)
                 adjacency[v].append(u)
-    return EnvGraph(
+    g = EnvGraph(
         ids=np.arange(n, dtype=np.int64),
         features=rng.normal(size=(n, 7)),
         edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
         dists=np.array(dists),
-        adjacency=adjacency,
     )
+    return g, adjacency
 
 
 def _hops_from(adjacency, start) -> dict:
@@ -143,11 +143,11 @@ def test_decomposition_matches_shortest_path_oracle(report):
     t0 = time.perf_counter()
     mismatches = 0
     for _ in range(500):
-        g = _random_interaction_graph(rng)
+        g, adjacency = _random_interaction_graph(rng)
         for k in (1, 2, 3):
             subs = decompose(g, depth=k)
             for centre, sg in enumerate(subs):
-                hops = _hops_from(g.adjacency, centre)
+                hops = _hops_from(adjacency, centre)
                 want = {v for v, h in hops.items() if h <= k}
                 if set(int(m) for m in sg.members) != want:
                     mismatches += 1

@@ -345,7 +345,6 @@ class TestDecompose:
             features=np.empty((0, VERTEX_DIM)),
             edges=np.empty((0, 2), dtype=np.int64),
             dists=np.empty(0),
-            adjacency={},
         )
         with pytest.raises(EmptyWorld):
             decompose(empty, 2)
