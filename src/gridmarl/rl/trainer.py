@@ -328,7 +328,7 @@ def _graph_step(
     acting = np.flatnonzero(~np.isin(centre_team, list(random_teams)))
 
     probs = np.empty((len(dec.members), N_ACTIONS))
-    for team in np.unique(centre_team[acting]).tolist():
+    for team in sorted(set(centre_team[acting].tolist())):
         mine = acting[centre_team[acting] == team]
         logp, _ = policy_logprobs(batch_subgraphs(dec.take(mine)), nets[team].policy)
         p = np.exp(logp)
