@@ -1,10 +1,13 @@
 """World construction, observation channels, movement, and scenario rules."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from gridmarl import (
     Action,
+    AgentState,
     ConfigError,
     EpisodeFinished,
     GridWorld,
@@ -21,7 +24,11 @@ from gridmarl.gridworld import (
     CH_OWN,
     CH_WALL,
     DEFAULT_EPISODE_LIMIT,
+    MOVES,
+    N_ACTIONS,
     N_CHANNELS,
+    NEIGHBOURS_8,
+    StepOutcome,
 )
 
 
@@ -329,3 +336,179 @@ class TestOutcome:
         out = w.step(idle_joint(w))  # agent 0 dies on the terminal step
         assert out.done
         assert 0 in out.rewards and out.rewards[0] == -1.0
+
+
+# -- the per-agent rules, kept as the reference for GridWorld.step -------------
+
+
+def loop_step(world: GridWorld, joint) -> StepOutcome:
+    """Reference step: every rule applied agent by agent, on the frozensets.
+
+    Moves resolve simultaneously (a move into a wall, a food or off the grid
+    becomes Idle), then kills on post-move positions, then rewards. A
+    neighbour is an agent in one of the eight cells around an agent's own
+    cell, so agents sharing a cell are not neighbours.
+    """
+    if world.finished:
+        raise EpisodeFinished(f"episode ended at t={world.time}")
+
+    def blocked(x, y):
+        inside = 0 <= x < world.width and 0 <= y < world.height
+        return not inside or (x, y) in world.walls or (x, y) in world.foods
+
+    def num_alive(team=None):
+        return sum(1 for a in world.agents if a.alive and (team is None or a.team == team))
+
+    movers = [a for a in world.agents if a.alive]
+    assert sorted(joint) == [a.id for a in movers]
+    for a in movers:
+        dx, dy = MOVES[Action(joint[a.id])]
+        nx, ny = a.pos.x + dx, a.pos.y + dy
+        if not blocked(nx, ny):
+            a.pos = Position(nx, ny)
+
+    occupants = {}
+    for a in movers:
+        occupants.setdefault(a.pos, []).append(a)
+
+    def neighbours(pos):
+        for dx, dy in NEIGHBOURS_8:
+            yield from occupants.get((pos.x + dx, pos.y + dy), ())
+
+    deaths = []
+    if world.scenario is Scenario.JUNGLE:
+        for a in movers:
+            crowded = any(True for _ in neighbours(a.pos))
+            a.streak = a.streak + 1 if crowded else 0
+            if a.streak >= 3:
+                deaths.append(a)
+    elif world.scenario is Scenario.BATTLE:
+        for a in movers:
+            foes = sum(1 for o in neighbours(a.pos) if o.team != a.team)
+            if foes >= 3:
+                deaths.append(a)
+    for a in deaths:
+        a.alive = False
+    world.time += 1
+
+    done = world.time >= world.episode_limit
+    if world.scenario is Scenario.JUNGLE:
+        done = done or num_alive() <= 1
+    elif world.scenario is Scenario.BATTLE:
+        done = done or num_alive(0) == 0 or num_alive(1) == 0
+
+    rewards = {a.id: 0.0 for a in movers}
+    if world.scenario is Scenario.JUNGLE:
+        for a in movers:
+            if any((a.pos.x + dx, a.pos.y + dy) in world.foods for dx, dy in NEIGHBOURS_8):
+                rewards[a.id] = 1.0
+    elif world.scenario is Scenario.BATTLE and done:
+        alive0, alive1 = num_alive(0), num_alive(1)
+        if alive0 != alive1:
+            winner = 0 if alive0 > alive1 else 1
+            for a in movers:
+                rewards[a.id] = 1.0 if a.team == winner else -1.0
+    elif world.scenario is Scenario.DECEPTION and done:
+        tgt = world.target_cell()
+        living = [a for a in world.agents if a.alive]
+        adv_on = any(a.pos == tgt for a in living if a.team == 1)
+        home_on = any(a.pos == tgt for a in living if a.team == 0)
+        home_r = 1.0 if (home_on and not adv_on) else -1.0
+        for a in movers:
+            if a.team == 0:
+                rewards[a.id] = home_r
+            else:
+                rewards[a.id] = 1.0 if a.pos == tgt else -1.0
+    world.finished = done
+    return StepOutcome(rewards=rewards, deaths=sorted(a.id for a in deaths), done=done)
+
+
+def rules_world(rng: np.random.Generator, kind: Scenario) -> GridWorld:
+    """A small, crowded world of ``kind``, often with stacked or dead agents."""
+    w, h = (int(v) for v in rng.integers(3, 8, size=2))
+    cells = w * h
+    walls = int(rng.integers(0, cells // 5 + 1))
+    foods = int(rng.integers(0, cells // 5 + 1)) if kind is Scenario.JUNGLE else 0
+    landmarks = int(rng.integers(1, 4)) if kind is Scenario.DECEPTION else 0
+    adversaries = int(rng.integers(1, 4))
+    room = cells - walls - foods - landmarks - (adversaries if kind is Scenario.DECEPTION else 0)
+    per_team = room if kind is not Scenario.BATTLE else room // 2
+    agents = int(rng.integers(1, max(1, per_team) + 1))
+    world = new_scenario(
+        ScenarioConfig(
+            scenario=kind, width=w, height=h, agents=agents, foods=foods, walls=walls,
+            landmarks=landmarks, adversaries=adversaries,
+            episode_limit=int(rng.integers(1, 12)),
+        ),
+        int(rng.integers(1 << 30)),
+    )
+    free = [
+        Position(x, y) for y in range(h) for x in range(w)
+        if Position(x, y) not in world.walls | world.foods
+    ]
+    for a in world.agents:
+        roll = rng.random()
+        if roll < 0.3:  # stack onto another agent's cell
+            a.pos = world.agents[int(rng.integers(len(world.agents)))].pos
+        elif roll < 0.5:
+            a.pos = free[int(rng.integers(len(free)))]
+    for a in world.agents[1:]:
+        if rng.random() < 0.1:
+            a.alive = False
+    return world
+
+
+class TestStepMatchesLoopReference:
+    @pytest.mark.parametrize("kind", list(Scenario))
+    def test_random_worlds(self, kind):
+        rng = np.random.default_rng(list(Scenario).index(kind))
+        steps = 0
+        for _ in range(40):
+            world = rules_world(rng, kind)
+            twin = copy.deepcopy(world)
+            while not world.finished:
+                joint = {a.id: int(rng.integers(N_ACTIONS)) for a in world.alive_agents()}
+                got = world.step(joint)
+                want = loop_step(twin, joint)
+                assert got == want
+                assert [(a.pos, a.alive, a.streak) for a in world.agents] == [
+                    (a.pos, a.alive, a.streak) for a in twin.agents
+                ]
+                assert (world.time, world.finished) == (twin.time, twin.finished)
+                steps += 1
+        assert steps > 100
+
+    def test_border_walls_and_foods(self):
+        world = GridWorld(
+            scenario=Scenario.JUNGLE, width=4, height=3,
+            walls=frozenset({Position(0, 0), Position(3, 2)}),
+            foods=frozenset({Position(3, 0), Position(0, 2)}),
+            landmarks=(), target=-1,
+            agents=[
+                AgentState(id=0, team=0, pos=Position(1, 0)),
+                AgentState(id=1, team=0, pos=Position(2, 2)),
+                AgentState(id=2, team=0, pos=Position(1, 1)),
+            ],
+            episode_limit=5,
+        )
+        twin = copy.deepcopy(world)
+        for joint in (
+            {0: Action.LEFT, 1: Action.RIGHT, 2: Action.IDLE},
+            {0: Action.UP, 1: Action.DOWN, 2: Action.LEFT},
+            {0: Action.RIGHT, 1: Action.LEFT, 2: Action.DOWN},
+        ):
+            assert world.step(joint) == loop_step(twin, joint)
+            assert [a.pos for a in world.agents] == [a.pos for a in twin.agents]
+
+    def test_stacked_agents_are_not_neighbours(self):
+        world = battle(w=9, h=9, agents=3, seed=0, limit=5)
+        place(world, {0: (4, 4), 1: (0, 0), 2: (0, 8), 3: (4, 4), 4: (4, 4), 5: (4, 4)})
+        twin = copy.deepcopy(world)
+        out = world.step(idle_joint(world))
+        assert out == loop_step(twin, idle_joint(twin))
+        assert not out.deaths  # three foes on its own cell kill no one
+        jw = jungle(w=5, h=5, agents=2, foods=0, limit=5)
+        place(jw, {0: (2, 2), 1: (2, 2)})
+        for _ in range(3):
+            jw.step(idle_joint(jw))
+        assert [a.streak for a in jw.agents] == [0, 0]
