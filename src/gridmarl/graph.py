@@ -26,7 +26,6 @@ level, over the graph's adjacency in compressed sparse rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -41,7 +40,7 @@ from .gridworld import (
     GridWorld,
     N_CHANNELS,
     OBS_SIZE,
-    Scenario,
+    window,
 )
 
 VERTEX_DIM = 2 + OBS_SIZE  # team one-hot ++ flattened 3x3x5 observation
@@ -90,45 +89,19 @@ def _alive(world: GridWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 def _features(world: GridWorld, xs: np.ndarray, ys: np.ndarray, teams: np.ndarray) -> np.ndarray:
     """Vertex features of the living agents at (xs, ys) of the given teams.
 
-    The per-channel boards are padded with a one-cell wall border so the
-    window gather needs no bounds handling.
+    Every channel is a window of one of the world's padded boards.
     """
-    h, w = world.height, world.width
-    wall = np.ones((h + 2, w + 2))
-    wall[1:-1, 1:-1] = 0.0
-    food = np.zeros((h + 2, w + 2))
-    lmark = np.zeros((h + 2, w + 2))
-    tbonus = np.zeros((h + 2, w + 2))
-    for p in world.walls:
-        wall[p.y + 1, p.x + 1] = 1.0
-    for p in world.foods:
-        food[p.y + 1, p.x + 1] = 1.0
-    for p in world.landmarks:
-        lmark[p.y + 1, p.x + 1] = 1.0
-    tgt = world.target_cell()
-    if tgt is not None:
-        tbonus[tgt.y + 1, tgt.x + 1] = 1.0
-
-    counts = np.zeros((2, h + 2, w + 2))  # living agents per team and cell
-    np.add.at(counts, (teams, ys + 1, xs + 1), 1.0)
-
     n = len(xs)
-    dy, dx = np.mgrid[0:3, 0:3]
-    rows = ys[:, None, None] + dy[None, :, :]
-    cols = xs[:, None, None] + dx[None, :, :]
-
     patch = np.zeros((n, 3, 3, N_CHANNELS))
-    patch[..., CH_WALL] = wall[rows, cols]
-    patch[..., CH_FOOD] = food[rows, cols]
-    lm = lmark[rows, cols]
-    if world.scenario is Scenario.DECEPTION:
-        lm = lm + (teams == 0)[:, None, None] * tbonus[rows, cols]
-    patch[..., CH_LANDMARK] = lm
-    own = counts[teams[:, None, None], rows, cols]
-    other = counts[1 - teams[:, None, None], rows, cols]
-    own[:, 1, 1] -= 1.0  # the observer never counts itself
+    patch[..., CH_WALL] = window(world.wall_board, xs, ys)
+    patch[..., CH_FOOD] = window(world.food_board, xs, ys)
+    home = (teams == 0)[:, None, None]
+    patch[..., CH_LANDMARK] = window(world.landmark_board, xs, ys) + home * window(world.target_board, xs, ys)
+    counts = window(world.occupancy(xs, ys, teams), xs, ys)  # (2, n, 3, 3)
+    own = counts[teams, np.arange(n)]
+    own[:, 1, 1] -= 1  # the observer never counts itself
     patch[..., CH_OWN] = own
-    patch[..., CH_OWN + 1] = other
+    patch[..., CH_OWN + 1] = counts[1 - teams, np.arange(n)]
 
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), teams] = 1.0
@@ -185,37 +158,37 @@ class EnvGraph:
         return len(self.ids)
 
 
-# (dy, dx) of the 3x3 window in row-major order, and its Euclidean lengths
-_WINDOW = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-_WINDOW_LEN = np.array([math.sqrt(dx * dx + dy * dy) for dy, dx in _WINDOW])
+# Euclidean length from the centre of the 3x3 window to each of its cells,
+# row-major: sqrt(dy^2 + dx^2)
+_WINDOW_LEN = np.sqrt(np.add.outer([1.0, 0.0, 1.0], [1.0, 0.0, 1.0])).ravel()
 
 
 def build_graph(world: GridWorld) -> EnvGraph:
     """Snapshot the interaction graph of the world's living agents.
 
-    Neighbour pairs come from sorting the agents by cell: each agent looks
-    up the agents of the nine cells of its window in the sorted order.
-    Pairs are listed by u, then by window cell in row-major order, then by
-    ascending v.
+    Neighbour pairs come from sorting the agents by padded cell index: each
+    agent looks up the agents of the nine cells of its window in the sorted
+    order. Pairs are listed by u, then by window cell in row-major order,
+    then by ascending v.
     """
     ids, xs, ys, teams = _alive(world)
-    stride = world.width + 2  # a padded row, so no window wraps to the next
-    cell = (ys + 1) * stride + (xs + 1)
+    index = np.arange(world.wall_board.size).reshape(world.wall_board.shape)
+    cells = window(index, xs, ys).reshape(len(ids), len(_WINDOW_LEN))
+    cell = cells[:, len(_WINDOW_LEN) // 2]  # each agent's own
     by_cell = np.argsort(cell, kind="stable")  # within a cell, ascending local index
     sorted_cells = cell[by_cell]
-    window = cell[:, None] + np.array([dy * stride + dx for dy, dx in _WINDOW])
-    lo = np.searchsorted(sorted_cells, window, side="left").ravel()
-    hits = np.searchsorted(sorted_cells, window, side="right").ravel() - lo
+    lo = np.searchsorted(sorted_cells, cells, side="left").ravel()
+    hits = np.searchsorted(sorted_cells, cells, side="right").ravel() - lo
     # one candidate per (u, window cell, occupant), in that order
     cand = np.repeat(np.arange(len(lo)), hits)
     v = by_cell[_segment_arange(lo, hits)]
-    u = cand // len(_WINDOW)
+    u = cand // len(_WINDOW_LEN)
     keep = v > u
     return EnvGraph(
         ids=ids,
         features=_features(world, xs, ys, teams),
         edges=np.stack([u[keep], v[keep]], axis=1),
-        dists=_WINDOW_LEN[cand[keep] % len(_WINDOW)],
+        dists=_WINDOW_LEN[cand[keep] % len(_WINDOW_LEN)],
     )
 
 

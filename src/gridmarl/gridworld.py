@@ -22,6 +22,14 @@ patch of five channels centred on itself: wall/out-of-bounds, food, landmark,
 own-team count, other-team count. The observer is excluded from its own
 centre-cell count. In deception, home observers see the target landmark as
 2.0 in the landmark channel; the adversary sees 1.0 like any landmark.
+
+The world owns the grid's cell layout. At construction it derives padded
+static boards, (height + 2) x (width + 2) with a one-cell border, from its
+fixed fields: the cells an agent may enter, and the wall/out-of-bounds,
+food, landmark and target channels. Cell (x, y) is board[y + 1, x + 1], so
+:func:`window` gathers any cell's 3x3 window with no bounds handling. A step
+reads all its rules from these boards and one per-team count of agents per
+cell, for every agent at once.
 """
 
 from __future__ import annotations
@@ -66,7 +74,24 @@ N_CHANNELS = 5
 OBS_CELLS = 9
 OBS_SIZE = OBS_CELLS * N_CHANNELS
 
-NEIGHBOURS_8 = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dx, dy) != (0, 0)]
+# (dx, dy) per action, in action order
+_MOVE_XY = np.array([MOVES[a] for a in Action], dtype=np.int64)
+# padded-board offsets of a 3x3 window, row = dy + 1, col = dx + 1
+_WIN_ROW, _WIN_COL = np.mgrid[0:3, 0:3]
+
+
+def window(board: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The 3x3 windows of a padded board around the cells (x, y).
+
+    ``board`` may carry leading axes; the result has shape
+    ``board.shape[:-2] + (len(x), 3, 3)``, indexed row = dy + 1, col = dx + 1.
+    """
+    return board[..., y[:, None, None] + _WIN_ROW, x[:, None, None] + _WIN_COL]
+
+
+def _ring(board: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sums over the eight cells around each cell (x, y), its own excluded."""
+    return window(board, x, y).sum(axis=(-2, -1)) - board[..., y + 1, x + 1]
 
 
 class Scenario(str, Enum):
@@ -175,7 +200,11 @@ def _validate(cfg: ScenarioConfig) -> None:
 
 @dataclass
 class GridWorld:
-    """Mutable episode state; build via :func:`new_scenario`."""
+    """Mutable episode state; build via :func:`new_scenario`.
+
+    The padded boards are derived from the fixed fields at construction; to
+    change a fixed field, build a new world (``dataclasses.replace``).
+    """
 
     scenario: Scenario
     width: int
@@ -188,6 +217,28 @@ class GridWorld:
     episode_limit: int
     time: int = 0
     finished: bool = False
+    # padded static boards, see the module docstring
+    enterable: np.ndarray = field(init=False, repr=False, compare=False)  # bool
+    wall_board: np.ndarray = field(init=False, repr=False, compare=False)  # walls and the border
+    food_board: np.ndarray = field(init=False, repr=False, compare=False)
+    landmark_board: np.ndarray = field(init=False, repr=False, compare=False)
+    target_board: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        def board(cells) -> np.ndarray:
+            out = np.zeros((self.height + 2, self.width + 2))
+            for p in cells:
+                out[p.y + 1, p.x + 1] = 1.0
+            return out
+
+        self.wall_board = board(self.walls)
+        self.wall_board[[0, -1], :] = 1.0
+        self.wall_board[:, [0, -1]] = 1.0
+        self.food_board = board(self.foods)
+        self.landmark_board = board(self.landmarks)
+        tgt = self.target_cell()
+        self.target_board = board([tgt] if tgt is not None else [])
+        self.enterable = (self.wall_board + self.food_board) == 0.0
 
     # -- basic queries ---------------------------------------------------
 
@@ -204,6 +255,10 @@ class GridWorld:
     def num_alive(self, team: Optional[int] = None) -> int:
         return sum(1 for a in self.agents if a.alive and (team is None or a.team == team))
 
+    def teams(self) -> np.ndarray:
+        """The team of every agent, indexed by agent id."""
+        return np.array([a.team for a in self.agents], dtype=np.int64)
+
     def target_cell(self) -> Optional[Position]:
         return self.landmarks[self.target] if self.target >= 0 else None
 
@@ -212,10 +267,24 @@ class GridWorld:
 
     def blocked(self, x: int, y: int) -> bool:
         """Cells that cannot be entered: out-of-bounds, walls, foods."""
-        if not self.in_bounds(x, y):
-            return True
-        cell = (x, y)  # a plain tuple hashes and compares equal to its Position
-        return cell in self.walls or cell in self.foods
+        return not (self.in_bounds(x, y) and self.enterable[y + 1, x + 1])
+
+    def wins(self) -> dict[int, float]:
+        """Per team, 1.0 if it wins the episode as the world stands, else 0.0.
+
+        Battle: the team with more survivors wins; a tie wins for neither.
+        Deception: the home team wins when one of its agents and no adversary
+        is on the target, the adversaries when any of them is. Empty for
+        jungle, which has no winner.
+        """
+        if self.scenario is Scenario.BATTLE:
+            alive0, alive1 = self.num_alive(0), self.num_alive(1)
+            return {0: float(alive0 > alive1), 1: float(alive1 > alive0)}
+        if self.scenario is Scenario.DECEPTION:
+            tgt = self.target_cell()
+            on = [any(a.pos == tgt for a in self.alive_agents() if a.team == t) for t in (0, 1)]
+            return {0: float(on[0] and not on[1]), 1: float(on[1])}
+        return {}
 
     # -- agent-facing interface ------------------------------------------
 
@@ -228,8 +297,23 @@ class GridWorld:
                 out.append(act)
         return out
 
+    def coerce(self, ids: np.ndarray, acts: np.ndarray) -> np.ndarray:
+        """The actions the world carries out when agents ``ids`` choose ``acts``.
+
+        A move into a cell that cannot be entered becomes Idle.
+        """
+        pos = np.array([self.agents[i].pos for i in ids.tolist()], dtype=np.int64).reshape(-1, 2)
+        return self._coerce(pos[:, 0], pos[:, 1], acts)
+
+    def _coerce(self, x: np.ndarray, y: np.ndarray, acts: np.ndarray) -> np.ndarray:
+        to = _MOVE_XY[acts]
+        return np.where(self.enterable[y + 1 + to[:, 1], x + 1 + to[:, 0]], acts, int(Action.IDLE))
+
     def observe(self, agent_id: int) -> np.ndarray:
-        """3x3x5 channel patch centred on the agent (row = dy+1, col = dx+1)."""
+        """3x3x5 channel patch centred on the agent (row = dy+1, col = dx+1).
+
+        A per-agent reference for the vectorised features in ``graph``.
+        """
         me = self.agent(agent_id)
         patch = np.zeros((3, 3, N_CHANNELS), dtype=np.float64)
         tgt = self.target_cell()
@@ -256,6 +340,12 @@ class GridWorld:
                     patch[row, col, ch] += 1.0
         return patch
 
+    def occupancy(self, x: np.ndarray, y: np.ndarray, team: np.ndarray) -> np.ndarray:
+        """Padded (2, height + 2, width + 2) count of agents per team and cell."""
+        counts = np.zeros((2, self.height + 2, self.width + 2), dtype=np.int64)
+        np.add.at(counts, (team, y + 1, x + 1), 1)
+        return counts
+
     # -- dynamics ---------------------------------------------------------
 
     def step(self, joint: Mapping[int, int], rng: Optional[np.random.Generator] = None) -> StepOutcome:
@@ -268,94 +358,66 @@ class GridWorld:
         if self.finished:
             raise EpisodeFinished(f"episode ended at t={self.time}")
         movers = [a for a in self.alive_agents()]
-        ids = {a.id for a in movers}
-        extra = set(joint) - ids
-        missing = ids - set(joint)
+        living = {a.id for a in movers}
+        extra = set(joint) - living
+        missing = living - set(joint)
         if extra:
             raise UnknownAgent(f"actions supplied for non-living agents {sorted(extra)}")
         if missing:
             raise UnknownAgent(f"missing actions for living agents {sorted(missing)}")
 
+        rows = [(a.id, a.team, a.pos.x, a.pos.y, a.streak, joint[a.id]) for a in movers]
+        ids, team, x, y, streak, acts = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+        if ((acts < 0) | (acts >= N_ACTIONS)).any():
+            raise ValueError(f"actions must lie in 0..{N_ACTIONS - 1}")
+
         # simultaneous movement; illegal moves fall back to Idle
-        for a in movers:
-            act = Action(joint[a.id])
-            dx, dy = MOVES[act]
-            nx, ny = a.pos.x + dx, a.pos.y + dy
-            if not self.blocked(nx, ny):
-                a.pos = Position(nx, ny)
+        acts = self._coerce(x, y, acts)
+        x, y = x + _MOVE_XY[acts, 0], y + _MOVE_XY[acts, 1]
+        for k in np.flatnonzero(acts != Action.IDLE).tolist():
+            movers[k].pos = Position(int(x[k]), int(y[k]))
 
-        occupants: dict[Position, list[AgentState]] = {}
-        for a in movers:
-            occupants.setdefault(a.pos, []).append(a)
-
-        deaths = self._resolve_kills(movers, occupants)
-        for a in deaths:
-            a.alive = False
+        # kills on post-move positions; all deaths land together
+        near = _ring(self.occupancy(x, y, team), x, y)  # (2, n) neighbours per team
+        dead = np.zeros(len(movers), dtype=bool)
+        if self.scenario is Scenario.JUNGLE:
+            streak = np.where(near.sum(axis=0) > 0, streak + 1, 0)
+            dead = streak >= 3
+            for a, s in zip(movers, streak.tolist()):
+                a.streak = s
+        elif self.scenario is Scenario.BATTLE:
+            dead = near[1 - team, np.arange(len(movers))] >= 3
+        for k in np.flatnonzero(dead).tolist():
+            movers[k].alive = False
         self.time += 1
 
+        alive = np.bincount(team[~dead], minlength=2)  # per team
         done = self.time >= self.episode_limit
         if self.scenario is Scenario.JUNGLE:
-            done = done or self.num_alive() <= 1
+            done = done or bool(alive.sum() <= 1)
         elif self.scenario is Scenario.BATTLE:
-            done = done or self.num_alive(0) == 0 or self.num_alive(1) == 0
+            done = done or bool(alive.min() == 0)
 
-        rewards = self._rewards(movers, done)
+        rewards = self._rewards(x, y, team, done)
         self.finished = done
         return StepOutcome(
-            rewards=rewards,
-            deaths=sorted(a.id for a in deaths),
+            rewards=dict(zip(ids.tolist(), rewards.tolist())),
+            deaths=ids[dead].tolist(),
             done=done,
         )
 
-    def _neighbours(self, pos: Position, occupants: dict[Position, list[AgentState]]) -> Iterator[AgentState]:
-        for dx, dy in NEIGHBOURS_8:
-            for other in occupants.get((pos.x + dx, pos.y + dy), ()):
-                yield other
-
-    def _resolve_kills(
-        self, movers: list[AgentState], occupants: dict[Position, list[AgentState]]
-    ) -> list[AgentState]:
-        """Kill checks run on post-move positions; all deaths land together."""
-        deaths: list[AgentState] = []
+    def _rewards(self, x: np.ndarray, y: np.ndarray, team: np.ndarray, done: bool) -> np.ndarray:
+        """Each mover's reward, from its post-move cell and team."""
         if self.scenario is Scenario.JUNGLE:
-            for a in movers:
-                crowded = any(True for _ in self._neighbours(a.pos, occupants))
-                a.streak = a.streak + 1 if crowded else 0
-                if a.streak >= 3:
-                    deaths.append(a)
-        elif self.scenario is Scenario.BATTLE:
-            for a in movers:
-                foes = sum(1 for o in self._neighbours(a.pos, occupants) if o.team != a.team)
-                if foes >= 3:
-                    deaths.append(a)
-        return deaths
-
-    def _rewards(self, movers: list[AgentState], done: bool) -> dict[int, float]:
-        rewards = {a.id: 0.0 for a in movers}
-        if self.scenario is Scenario.JUNGLE:
-            for a in movers:
-                near_food = any(
-                    (a.pos.x + dx, a.pos.y + dy) in self.foods for dx, dy in NEIGHBOURS_8
-                )
-                if near_food:
-                    rewards[a.id] = 1.0
-        elif self.scenario is Scenario.BATTLE and done:
-            alive0, alive1 = self.num_alive(0), self.num_alive(1)
-            if alive0 != alive1:
-                winner = 0 if alive0 > alive1 else 1
-                for a in movers:
-                    rewards[a.id] = 1.0 if a.team == winner else -1.0
-        elif self.scenario is Scenario.DECEPTION and done:
-            tgt = self.target_cell()
-            adv_on = any(a.pos == tgt for a in self.alive_agents() if a.team == 1)
-            home_on = any(a.pos == tgt for a in self.alive_agents() if a.team == 0)
-            home_r = 1.0 if (home_on and not adv_on) else -1.0
-            for a in movers:
-                if a.team == 0:
-                    rewards[a.id] = home_r
-                else:
-                    rewards[a.id] = 1.0 if a.pos == tgt else -1.0
-        return rewards
+            return (_ring(self.food_board, x, y) > 0).astype(np.float64)
+        won = self.wins() if done else {}
+        if self.scenario is Scenario.BATTLE and any(won.values()):
+            return np.where(team == (0 if won[0] else 1), 1.0, -1.0)
+        if self.scenario is Scenario.DECEPTION and done:
+            on_target = self.target_board[y + 1, x + 1] > 0
+            # home agents share their team's result; an adversary scores by its own cell
+            return np.where(team == 0, 1.0 if won[0] else -1.0, np.where(on_target, 1.0, -1.0))
+        return np.zeros(len(x))
 
 
 def new_scenario(cfg: ScenarioConfig, seed: int) -> GridWorld:

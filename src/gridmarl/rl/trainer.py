@@ -48,12 +48,8 @@ from ..graph import (
     decompose,
 )
 from ..gridworld import (
-    MOVES,
-    Action,
-    AgentState,
     GridWorld,
     N_ACTIONS,
-    Scenario,
     ScenarioConfig,
     StepOutcome,
     new_scenario,
@@ -250,10 +246,6 @@ class EpisodeResult:
     stats: EpisodeStats
 
 
-def _team_of(world: GridWorld) -> dict[int, int]:
-    return {a.id: a.team for a in world.agents}
-
-
 def _episode_stats(
     world: GridWorld,
     agent_returns: dict[int, float],
@@ -261,26 +253,16 @@ def _episode_stats(
     subgraphs: int,
     size_sum: int,
 ) -> EpisodeStats:
-    team_of = _team_of(world)
-    teams = sorted(set(team_of.values()))
+    teams = sorted(set(world.teams().tolist()))
     returns = {
         t: float(np.mean([agent_returns.get(a.id, 0.0) for a in world.agents if a.team == t]))
         for t in teams
     }
-    alive = {t: world.num_alive(t) for t in teams}
-    wins: dict[int, float] = {}
-    if world.scenario is Scenario.BATTLE:
-        wins = {0: float(alive[0] > alive[1]), 1: float(alive[1] > alive[0])}
-    elif world.scenario is Scenario.DECEPTION:
-        tgt = world.target_cell()
-        adv_on = any(a.pos == tgt for a in world.alive_agents() if a.team == 1)
-        home_on = any(a.pos == tgt for a in world.alive_agents() if a.team == 0)
-        wins = {0: float(home_on and not adv_on), 1: float(adv_on)}
     return EpisodeStats(
         steps=steps,
         returns=returns,
-        alive_end=alive,
-        wins=wins,
+        alive_end={t: world.num_alive(t) for t in teams},
+        wins=world.wins(),
         subgraphs=subgraphs,
         subgraph_size_sum=size_sum,
     )
@@ -293,25 +275,6 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(acts, N_ACTIONS - 1).astype(np.int64)
 
 
-# (dx, dy) per action, in action order
-_MOVE_XY = np.array([MOVES[a] for a in Action], dtype=np.int64)
-
-
-def _coerce(world: GridWorld, agents: Sequence[AgentState], acts: np.ndarray) -> np.ndarray:
-    """The actions the world carries out: a blocked move becomes Idle.
-
-    The board of enterable cells has a blocked one-cell border, so a move
-    off the grid needs no bounds test.
-    """
-    free = np.zeros((world.height + 2, world.width + 2), dtype=bool)
-    free[1:-1, 1:-1] = True
-    for p in world.walls | world.foods:
-        free[p.y + 1, p.x + 1] = False
-    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
-    x, y = (pos + 1 + _MOVE_XY[acts]).T
-    return np.where(free[y, x], acts, int(Action.IDLE))
-
-
 def _graph_step(
     world: GridWorld,
     nets: Mapping[int, TeamNets],
@@ -322,7 +285,7 @@ def _graph_step(
     random_teams: frozenset[int],
 ) -> StepData:
     """Sample, ensemble, coerce, and advance the world by one tick."""
-    team_of = np.array([a.team for a in world.agents], dtype=np.int64)
+    team_of = world.teams()
     dec = decompose(build_graph(world), tcfg.depth, ncfg.delta_d, ncfg.n_max)
     centre_team = team_of[dec.centres]
     acting = np.flatnonzero(~np.isin(centre_team, list(random_teams)))
@@ -359,7 +322,7 @@ def _graph_step(
             lo = first[a.id]
             drawn[a.id], _ = ensemble_action(grouped[lo : lo + count[a.id]], mode=mode, rng=rng)
     ids = np.array([a.id for a in alive], dtype=np.int64)
-    executed[ids] = _coerce(world, alive, drawn[ids])
+    executed[ids] = world.coerce(ids, drawn[ids])
 
     outcome = world.step(dict(zip(ids.tolist(), executed[ids].tolist())))
     return StepData(dec=dec, acting=acting, probs=probs, drawn=drawn, executed=executed, outcome=outcome)
@@ -410,47 +373,37 @@ def _flat_step(
 ) -> tuple[StepOutcome, dict[int, FlatStep]]:
     """One tick of the vanilla pipeline; returns per-team row records."""
     ids, feats = all_vertex_features(world)
-    team_of = _team_of(world)
-    teams = sorted({a.team for a in world.agents})
-    sampled: dict[int, int] = {}
-    rows: dict[int, np.ndarray] = {}
-    for team in teams:
-        mask = np.array([team_of[int(i)] == team for i in ids])
-        if not mask.any() or team in random_teams:
-            continue
-        logp, _ = mlp_logprobs(feats[mask], nets[team].policy)
-        probs = np.exp(logp)
-        probs /= probs.sum(axis=1, keepdims=True)
-        rows[team] = probs
-    cursor = {t: 0 for t in rows}
-    alive = list(world.alive_agents())
-    for a in alive:
-        if a.team in random_teams:
-            act = int(rng.integers(N_ACTIONS))
+    team_of = world.teams()
+    team = team_of[ids]  # of each feature row
+    teams = sorted(set(team_of.tolist()))
+    probs = np.empty((len(ids), N_ACTIONS))
+    for t in teams:
+        mask = team == t
+        if mask.any() and t not in random_teams:
+            logp, _ = mlp_logprobs(feats[mask], nets[t].policy)
+            p = np.exp(logp)
+            probs[mask] = p / p.sum(axis=1, keepdims=True)
+    # one draw per agent in ascending id order: seeded runs depend on the stream
+    sampled = np.empty(len(ids), dtype=np.int64)
+    for k, t in enumerate(team.tolist()):
+        if t in random_teams:
+            sampled[k] = rng.integers(N_ACTIONS)
+        elif mode == "sample":
+            sampled[k] = min(int((np.cumsum(probs[k]) < rng.random()).sum()), N_ACTIONS - 1)
         else:
-            probs = rows[a.team][cursor[a.team]]
-            cursor[a.team] += 1
-            if mode == "sample":
-                u = rng.random()
-                act = min(int((np.cumsum(probs) < u).sum()), N_ACTIONS - 1)
-            else:
-                act = int(np.argmax(probs))
-        sampled[a.id] = act
-    executed = _coerce(world, alive, np.array([sampled[a.id] for a in alive], dtype=np.int64))
-    outcome = world.step(dict(zip(sampled, executed.tolist())))
+            sampled[k] = np.argmax(probs[k])
+    executed = world.coerce(ids, sampled)
+    outcome = world.step(dict(zip(ids.tolist(), executed.tolist())))
     records: dict[int, FlatStep] = {}
-    for team in teams:
-        if team in random_teams:
+    for t in teams:
+        sel = team == t
+        if t in random_teams or not sel.any():
             continue
-        sel = [k for k, i in enumerate(ids) if team_of[int(i)] == team]
-        if not sel:
-            continue
-        tid = ids[sel]
-        records[team] = FlatStep(
-            ids=tid,
+        records[t] = FlatStep(
+            ids=ids[sel],
             feats=feats[sel],
-            sampled=np.array([sampled[int(i)] for i in tid], dtype=np.int64),
-            rewards=np.array([outcome.rewards[int(i)] for i in tid]),
+            sampled=sampled[sel],
+            rewards=np.array([outcome.rewards[i] for i in ids[sel].tolist()]),
         )
     return outcome, records
 
@@ -495,8 +448,13 @@ def play_step(
     return _graph_step(world, nets, tcfg, ncfg, rng, mode, random_teams).outcome
 
 
-def team_transitions(steps: Sequence[StepData], team_of: Mapping[int, int], team: int) -> list[Transition]:
-    """Assemble per-centre transitions with successor links for one team."""
+def team_transitions(
+    steps: Sequence[StepData], team_of: np.ndarray | Mapping[int, int], team: int
+) -> list[Transition]:
+    """Assemble per-centre transitions with successor links for one team.
+
+    ``team_of`` gives each agent id's team, as a per-id array or a mapping.
+    """
     out: list[Transition] = []
     for t, sd in enumerate(steps):
         nxt = steps[t + 1].per_centre if t + 1 < len(steps) else {}
@@ -836,9 +794,8 @@ class Trainer:
         self.tcfg = trainer
         self.ncfg = network
         self.seed = seed
-        self.teams = sorted({a.team for a in probe.agents})
-        sizes = scenario.team_sizes()
-        self._team_starts = np.cumsum([0] + sizes)
+        self.team = probe.teams()  # of each agent id
+        self.teams = sorted(set(self.team.tolist()))
         self.nets = {
             t: new_team_nets(
                 trainer,
@@ -849,9 +806,6 @@ class Trainer:
         }
         self.batch_index = 0
         self._world_factory = world_factory
-
-    def team_of(self, agent_id: int) -> int:
-        return int(np.searchsorted(self._team_starts, agent_id, side="right") - 1)
 
     def _world(self, batch: int, ep: int) -> GridWorld:
         if self._world_factory is not None:
@@ -895,7 +849,7 @@ class Trainer:
             transitions = [
                 Transition(step=ss, next=nxt.per_centre.get(c) if nxt else None, t=t)
                 for c, ss in sd.per_centre.items()
-                if self.team_of(c) == team
+                if self.team[c] == team
             ]
             if not transitions:
                 continue
@@ -954,9 +908,7 @@ class Trainer:
                     add_scaled_(acc_p, vanilla_episode_grads(ep.flat.get(team, []), nets, self.tcfg))
                     continue
                 assert ep.steps is not None
-                transitions = team_transitions(
-                    ep.steps, {a: self.team_of(a) for a in self._all_ids()}, team
-                )
+                transitions = team_transitions(ep.steps, self.team, team)
                 if self.tcfg.algorithm == "graph-ac":
                     pol, cri = ac_episode_grads(transitions, nets, self.tcfg)
                     add_scaled_(acc_p, pol)
@@ -970,9 +922,6 @@ class Trainer:
                 scale_(acc_c, inv)
                 assert nets.adam_critic is not None
                 adam_step(nets.critic, acc_c, nets.adam_critic)
-
-    def _all_ids(self) -> range:
-        return range(int(self._team_starts[-1]))
 
     def train(
         self,

@@ -374,15 +374,20 @@ def _transform_world(world, ops):
         return Position(s - 1 - p.x, p.y)
 
     move = {"rot": rot, "mir": mir}
-    w2 = copy.deepcopy(world)
-    for op in ops:
-        t = move[op]
-        w2.walls = frozenset(t(p) for p in w2.walls)
-        w2.foods = frozenset(t(p) for p in w2.foods)
-        w2.landmarks = tuple(t(p) for p in w2.landmarks)
-        for a in w2.agents:
-            a.pos = t(a.pos)
-    return w2
+
+    def t(p):
+        for op in ops:
+            p = move[op](p)
+        return p
+
+    # a new world, so that its boards are derived from the moved cells
+    return dataclasses.replace(
+        world,
+        walls=frozenset(t(p) for p in world.walls),
+        foods=frozenset(t(p) for p in world.foods),
+        landmarks=tuple(t(p) for p in world.landmarks),
+        agents=[dataclasses.replace(a, pos=t(a.pos)) for a in world.agents],
+    )
 
 
 def _transform_patch(patch, ops):

@@ -27,7 +27,6 @@ from gridmarl.gridworld import (
     MOVES,
     N_ACTIONS,
     N_CHANNELS,
-    NEIGHBOURS_8,
     StepOutcome,
 )
 
@@ -194,6 +193,15 @@ class TestMovement:
                 if act in legal:
                     assert not w.blocked(tx, ty)
 
+    def test_coerce_keeps_exactly_the_legal_actions(self):
+        for seed in range(10):
+            w = jungle(w=4, h=4, agents=4, foods=3, walls=3, seed=seed, limit=50)
+            for a in w.alive_agents():
+                acts = np.arange(N_ACTIONS)
+                got = w.coerce(np.full(N_ACTIONS, a.id), acts)
+                legal = w.legal_actions(a.id)
+                assert got.tolist() == [act if act in legal else Action.IDLE for act in acts]
+
     def test_agents_may_share_a_cell(self):
         w = jungle(w=5, h=5, agents=2, foods=0, seed=0, limit=10)
         place(w, {0: (1, 1), 1: (2, 1)})
@@ -339,6 +347,8 @@ class TestOutcome:
 
 
 # -- the per-agent rules, kept as the reference for GridWorld.step -------------
+
+NEIGHBOURS_8 = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dx, dy) != (0, 0)]
 
 
 def loop_step(world: GridWorld, joint) -> StepOutcome:

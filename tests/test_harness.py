@@ -1,6 +1,6 @@
 """Config parsing, metrics files, frames, checkpoints, bench, the CLI."""
 
-import copy
+import dataclasses
 import json
 import os
 
@@ -295,8 +295,7 @@ class TestFrames:
             ),
             seed=4,
         )
-        twin = copy.deepcopy(world)
-        twin.target = (world.target + 1) % len(world.landmarks)
+        twin = dataclasses.replace(world, target=(world.target + 1) % len(world.landmarks))
         a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
         render_ppm(world, str(a))
         render_ppm(twin, str(b))

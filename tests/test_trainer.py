@@ -569,7 +569,7 @@ class TestTrainer:
         # replay: same worlds, same rngs, same update arithmetic
         replay = Trainer(battle_cfg(), tcfg, ncfg, seed=11)
         results = [replay._episode(0, e) for e in range(2)]
-        team_of = {a: replay.team_of(a) for a in replay._all_ids()}
+        team_of = replay.team
         for team in replay.teams:
             nets = replay.nets[team]
             acc_p = zeros_like_params(nets.policy)
@@ -605,7 +605,7 @@ class TestTrainer:
         # replay: each tick's transitions update both networks of their team
         # once the next tick is sampled; the last tick has no successors
         replay = Trainer(battle_cfg(), tcfg, ncfg, seed=21)
-        team_of = {a: replay.team_of(a) for a in replay._all_ids()}
+        team_of = replay.team
 
         def update(sd, nxt, t):
             for team in replay.teams:
@@ -692,7 +692,7 @@ class TestTrainer:
         tr = Trainer(battle_cfg(agents=3), tcfg, tiny_net_cfg())
         world = new_scenario(battle_cfg(agents=3), 0)
         for a in world.agents:
-            assert tr.team_of(a.id) == a.team
+            assert tr.team[a.id] == a.team
 
     def test_config_validation(self):
         good = TrainerConfig()
