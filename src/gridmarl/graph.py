@@ -172,7 +172,7 @@ def build_graph(world: GridWorld) -> EnvGraph:
     then by ascending v.
     """
     ids, xs, ys, teams = _alive(world)
-    index = np.arange(world.wall_board.size).reshape(world.wall_board.shape)
+    index = np.arange((world.height + 2) * (world.width + 2)).reshape(world.height + 2, -1)
     cells = window(index, xs, ys).reshape(len(ids), len(_WINDOW_LEN))
     cell = cells[:, len(_WINDOW_LEN) // 2]  # each agent's own
     by_cell = np.argsort(cell, kind="stable")  # within a cell, ascending local index
