@@ -78,6 +78,8 @@ OBS_SIZE = OBS_CELLS * N_CHANNELS
 _MOVE_XY = np.array([MOVES[a] for a in Action], dtype=np.int64)
 # padded-board offsets of a 3x3 window, row = dy + 1, col = dx + 1
 _WIN_ROW, _WIN_COL = np.mgrid[0:3, 0:3]
+# weights of the window's cells, row-major: the ring is the eight outer ones
+_RING = np.array([1, 1, 1, 1, 0, 1, 1, 1, 1])
 
 
 def window(board: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -91,7 +93,8 @@ def window(board: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _ring(board: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sums over the eight cells around each cell (x, y), its own excluded."""
-    return window(board, x, y).sum(axis=(-2, -1)) - board[..., y + 1, x + 1]
+    win = window(board, x, y)
+    return win.reshape(win.shape[:-2] + (9,)) @ _RING
 
 
 class Scenario(str, Enum):
