@@ -79,11 +79,11 @@ def vertex_features(world: GridWorld, agent_id: int) -> np.ndarray:
 
 def _alive(world: GridWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Ids, x, y and team of every living agent, ids ascending."""
-    rows = [(a.id, a.pos.x, a.pos.y, a.team) for a in world.agents if a.alive]
-    if not rows:
+    ids = np.flatnonzero(world.alive)
+    if not len(ids):
         raise EmptyWorld("no living agents")
-    ids, xs, ys, teams = np.array(rows, dtype=np.int64).T
-    return ids, xs, ys, teams
+    xs, ys = world.pos[ids].T
+    return ids, xs, ys, world.team[ids]
 
 
 def _features(world: GridWorld, xs: np.ndarray, ys: np.ndarray, teams: np.ndarray) -> np.ndarray:

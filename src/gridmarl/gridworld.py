@@ -30,13 +30,18 @@ food, landmark and target channels. Cell (x, y) is board[y + 1, x + 1], so
 :func:`window` gathers any cell's 3x3 window with no bounds handling. A step
 reads all its rules from these boards and one per-team count of agents per
 cell, for every agent at once.
+
+The world also owns its agents' state, as arrays indexed by agent id:
+``team``, ``pos`` (x then y), ``alive`` and ``streak``. An
+:class:`AgentState` is a view of one id's entries, so reading or writing
+through it reads or writes the world's arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -147,13 +152,27 @@ class ScenarioConfig:
         return DEFAULT_EPISODE_LIMIT[self.scenario]
 
 
-@dataclass
+def _agent_field(name: str, cast: Callable) -> property:
+    """Entry ``id`` of the world's array ``name``, read as ``cast`` and written through."""
+    return property(
+        lambda a: cast(getattr(a.world, name)[a.id]),
+        lambda a, v: getattr(a.world, name).__setitem__(a.id, v),
+    )
+
+
 class AgentState:
-    id: int
-    team: int
-    pos: Position
-    alive: bool = True
-    streak: int = 0  # consecutive steps spent 8-adjacent to another agent
+    """One agent of a world: a view of its entries in the world's per-id arrays."""
+
+    __slots__ = ("world", "id")
+
+    def __init__(self, world: GridWorld, agent_id: int):
+        self.world = world
+        self.id = agent_id
+
+    team = _agent_field("team", int)
+    pos = _agent_field("pos", lambda p: Position(*p.tolist()))
+    alive = _agent_field("alive", bool)
+    streak = _agent_field("streak", int)  # consecutive steps spent 8-adjacent to another agent
 
 
 @dataclass
@@ -171,10 +190,6 @@ class StepOutcome:
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
     """Raise ConfigError if ``cfg`` cannot be realized."""
-    _validate(cfg)
-
-
-def _validate(cfg: ScenarioConfig) -> None:
     if cfg.width < 3 or cfg.height < 3:
         raise ConfigError(f"grid must be at least 3x3, got {cfg.width}x{cfg.height}")
     if cfg.agents < 1:
@@ -201,12 +216,13 @@ def _validate(cfg: ScenarioConfig) -> None:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class GridWorld:
     """Mutable episode state; build via :func:`new_scenario`.
 
     The padded boards are derived from the fixed fields at construction; to
-    change a fixed field, build a new world (``dataclasses.replace``).
+    change a fixed field, build a new world (``dataclasses.replace``). The
+    agent arrays are copied in, so a world never shares them with another.
     """
 
     scenario: Scenario
@@ -216,18 +232,29 @@ class GridWorld:
     foods: frozenset[Position]
     landmarks: tuple[Position, ...]
     target: int  # index into landmarks; -1 when there are none
-    agents: list[AgentState]
+    # per agent id
+    team: np.ndarray    # (n,) int
+    pos: np.ndarray     # (n, 2) int, x then y
+    alive: np.ndarray   # (n,) bool
+    streak: np.ndarray  # (n,) int, see AgentState
     episode_limit: int
     time: int = 0
     finished: bool = False
+    agents: list[AgentState] = field(init=False, repr=False)  # views, by id
     # padded static boards, see the module docstring
-    enterable: np.ndarray = field(init=False, repr=False, compare=False)  # bool
-    wall_board: np.ndarray = field(init=False, repr=False, compare=False)  # walls and the border
-    food_board: np.ndarray = field(init=False, repr=False, compare=False)
-    landmark_board: np.ndarray = field(init=False, repr=False, compare=False)
-    target_board: np.ndarray = field(init=False, repr=False, compare=False)
+    enterable: np.ndarray = field(init=False, repr=False)  # bool
+    wall_board: np.ndarray = field(init=False, repr=False)  # walls and the border
+    food_board: np.ndarray = field(init=False, repr=False)
+    landmark_board: np.ndarray = field(init=False, repr=False)
+    target_board: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.team = np.array(self.team, dtype=np.int64)
+        self.pos = np.array(self.pos, dtype=np.int64).reshape(-1, 2)
+        self.alive = np.array(self.alive, dtype=bool)
+        self.streak = np.array(self.streak, dtype=np.int64)
+        self.agents = [AgentState(self, i) for i in range(len(self.team))]
+
         def board(cells) -> np.ndarray:
             out = np.zeros((self.height + 2, self.width + 2))
             for p in cells:
@@ -246,21 +273,15 @@ class GridWorld:
     # -- basic queries ---------------------------------------------------
 
     def agent(self, agent_id: int) -> AgentState:
-        if 0 <= agent_id < len(self.agents):
-            a = self.agents[agent_id]
-            if a.alive:
-                return a
+        if 0 <= agent_id < len(self.agents) and self.alive[agent_id]:
+            return self.agents[agent_id]
         raise UnknownAgent(f"no living agent with id {agent_id}")
 
     def alive_agents(self) -> Iterator[AgentState]:
-        return (a for a in self.agents if a.alive)
+        return map(self.agents.__getitem__, np.flatnonzero(self.alive).tolist())
 
     def num_alive(self, team: Optional[int] = None) -> int:
-        return sum(1 for a in self.agents if a.alive and (team is None or a.team == team))
-
-    def teams(self) -> np.ndarray:
-        """The team of every agent, indexed by agent id."""
-        return np.array([a.team for a in self.agents], dtype=np.int64)
+        return int(np.count_nonzero(self.alive if team is None else self.alive & (self.team == team)))
 
     def target_cell(self) -> Optional[Position]:
         return self.landmarks[self.target] if self.target >= 0 else None
@@ -284,33 +305,26 @@ class GridWorld:
             alive0, alive1 = self.num_alive(0), self.num_alive(1)
             return {0: float(alive0 > alive1), 1: float(alive1 > alive0)}
         if self.scenario is Scenario.DECEPTION:
-            tgt = self.target_cell()
-            on = [any(a.pos == tgt for a in self.alive_agents() if a.team == t) for t in (0, 1)]
+            on = self.alive & (self.pos == self.target_cell()).all(axis=1)
+            on = [bool(on[self.team == t].any()) for t in (0, 1)]
             return {0: float(on[0] and not on[1]), 1: float(on[1])}
         return {}
 
     # -- agent-facing interface ------------------------------------------
 
     def legal_actions(self, agent_id: int) -> list[Action]:
-        a = self.agent(agent_id)
-        out = []
-        for act in Action:
-            dx, dy = MOVES[act]
-            if act is Action.IDLE or not self.blocked(a.pos.x + dx, a.pos.y + dy):
-                out.append(act)
-        return out
+        """The actions a living agent may take that :meth:`coerce` leaves unchanged."""
+        acts = np.arange(N_ACTIONS)
+        kept = self.coerce(np.full(N_ACTIONS, self.agent(agent_id).id), acts) == acts
+        return [Action(a) for a in acts[kept].tolist()]
 
     def coerce(self, ids: np.ndarray, acts: np.ndarray) -> np.ndarray:
         """The actions the world carries out when agents ``ids`` choose ``acts``.
 
         A move into a cell that cannot be entered becomes Idle.
         """
-        pos = np.array([self.agents[i].pos for i in ids.tolist()], dtype=np.int64).reshape(-1, 2)
-        return self._coerce(pos[:, 0], pos[:, 1], acts)
-
-    def _coerce(self, x: np.ndarray, y: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        to = _MOVE_XY[acts]
-        return np.where(self.enterable[y + 1 + to[:, 1], x + 1 + to[:, 0]], acts, int(Action.IDLE))
+        to = self.pos[ids] + _MOVE_XY[acts]
+        return np.where(self.enterable[to[:, 1] + 1, to[:, 0] + 1], acts, int(Action.IDLE))
 
     def observe(self, agent_id: int) -> np.ndarray:
         """3x3x5 channel patch centred on the agent (row = dy+1, col = dx+1).
@@ -360,8 +374,8 @@ class GridWorld:
         """
         if self.finished:
             raise EpisodeFinished(f"episode ended at t={self.time}")
-        movers = [a for a in self.alive_agents()]
-        living = {a.id for a in movers}
+        ids = np.flatnonzero(self.alive)
+        living = set(ids.tolist())
         extra = set(joint) - living
         missing = living - set(joint)
         if extra:
@@ -369,29 +383,25 @@ class GridWorld:
         if missing:
             raise UnknownAgent(f"missing actions for living agents {sorted(missing)}")
 
-        rows = [(a.id, a.team, a.pos.x, a.pos.y, a.streak, joint[a.id]) for a in movers]
-        ids, team, x, y, streak, acts = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+        acts = np.fromiter(map(joint.__getitem__, ids.tolist()), dtype=np.int64, count=len(ids))
         if ((acts < 0) | (acts >= N_ACTIONS)).any():
             raise ValueError(f"actions must lie in 0..{N_ACTIONS - 1}")
 
         # simultaneous movement; illegal moves fall back to Idle
-        acts = self._coerce(x, y, acts)
-        x, y = x + _MOVE_XY[acts, 0], y + _MOVE_XY[acts, 1]
-        for k in np.flatnonzero(acts != Action.IDLE).tolist():
-            movers[k].pos = Position(int(x[k]), int(y[k]))
+        self.pos[ids] += _MOVE_XY[self.coerce(ids, acts)]
+        x, y = self.pos[ids].T
+        team = self.team[ids]
 
         # kills on post-move positions; all deaths land together
         near = _ring(self.occupancy(x, y, team), x, y)  # (2, n) neighbours per team
-        dead = np.zeros(len(movers), dtype=bool)
+        dead = np.zeros(len(ids), dtype=bool)
         if self.scenario is Scenario.JUNGLE:
-            streak = np.where(near.sum(axis=0) > 0, streak + 1, 0)
+            streak = np.where(near.sum(axis=0) > 0, self.streak[ids] + 1, 0)
+            self.streak[ids] = streak
             dead = streak >= 3
-            for a, s in zip(movers, streak.tolist()):
-                a.streak = s
         elif self.scenario is Scenario.BATTLE:
-            dead = near[1 - team, np.arange(len(movers))] >= 3
-        for k in np.flatnonzero(dead).tolist():
-            movers[k].alive = False
+            dead = near[1 - team, np.arange(len(ids))] >= 3
+        self.alive[ids[dead]] = False
         self.time += 1
 
         alive = np.bincount(team[~dead], minlength=2)  # per team
@@ -429,27 +439,21 @@ def new_scenario(cfg: ScenarioConfig, seed: int) -> GridWorld:
     Placement order (walls, foods, landmarks, agents team by team) is fixed so
     a given (config, seed) pair always yields the identical world.
     """
-    _validate(cfg)
+    validate_scenario(cfg)
     rng = np.random.default_rng(seed)
     cells = [Position(x, y) for y in range(cfg.height) for x in range(cfg.width)]
-    order = rng.permutation(len(cells))
-    cursor = 0
+    free = iter([cells[i] for i in rng.permutation(len(cells))])
 
     def take(n: int) -> list[Position]:
-        nonlocal cursor
-        out = [cells[order[i]] for i in range(cursor, cursor + n)]
-        cursor += n
-        return out
+        return [next(free) for _ in range(n)]
 
     walls = frozenset(take(cfg.walls))
     foods = frozenset(take(cfg.foods))
     landmarks = tuple(take(cfg.landmarks))
     target = int(rng.integers(len(landmarks))) if landmarks else -1
 
-    agents: list[AgentState] = []
-    for team, size in enumerate(cfg.team_sizes()):
-        for pos in take(size):
-            agents.append(AgentState(id=len(agents), team=team, pos=pos))
+    sizes = cfg.team_sizes()
+    n = sum(sizes)
 
     return GridWorld(
         scenario=cfg.scenario,
@@ -459,6 +463,9 @@ def new_scenario(cfg: ScenarioConfig, seed: int) -> GridWorld:
         foods=foods,
         landmarks=landmarks,
         target=target,
-        agents=agents,
+        team=np.repeat(np.arange(len(sizes)), sizes),
+        pos=take(n),
+        alive=np.ones(n, dtype=bool),
+        streak=np.zeros(n, dtype=np.int64),
         episode_limit=cfg.limit(),
     )

@@ -80,10 +80,9 @@ def render_ppm(world: GridWorld, path: str, scale: int = 8) -> None:
         paint(p.x, p.y, _FOOD)
     for p in world.walls:
         paint(p.x, p.y, _WALL)
-    for a in world.agents:
-        if a.alive:
-            rgb = _TEAMS[a.team] if a.team < len(_TEAMS) else _EXTRA_TEAM
-            paint(a.pos.x, a.pos.y, rgb)
+    for a in world.alive_agents():
+        rgb = _TEAMS[a.team] if a.team < len(_TEAMS) else _EXTRA_TEAM
+        paint(a.pos.x, a.pos.y, rgb)
 
     with open(path, "wb") as fh:
         fh.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))

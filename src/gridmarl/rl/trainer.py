@@ -248,19 +248,16 @@ class EpisodeResult:
 
 def _episode_stats(
     world: GridWorld,
-    agent_returns: dict[int, float],
+    agent_returns: np.ndarray,
     steps: int,
     subgraphs: int,
     size_sum: int,
 ) -> EpisodeStats:
-    teams = sorted(set(world.teams().tolist()))
-    returns = {
-        t: float(np.mean([agent_returns.get(a.id, 0.0) for a in world.agents if a.team == t]))
-        for t in teams
-    }
+    """``agent_returns`` holds each agent's summed rewards, indexed by id."""
+    teams = np.unique(world.team).tolist()
     return EpisodeStats(
         steps=steps,
-        returns=returns,
+        returns={t: float(np.mean(agent_returns[world.team == t])) for t in teams},
         alive_end={t: world.num_alive(t) for t in teams},
         wins=world.wins(),
         subgraphs=subgraphs,
@@ -285,7 +282,7 @@ def _graph_step(
     random_teams: frozenset[int],
 ) -> StepData:
     """Sample, ensemble, coerce, and advance the world by one tick."""
-    team_of = world.teams()
+    team_of = world.team
     dec = decompose(build_graph(world), tcfg.depth, ncfg.delta_d, ncfg.n_max)
     centre_team = team_of[dec.centres]
     acting = np.flatnonzero(~np.isin(centre_team, list(random_teams)))
@@ -308,20 +305,19 @@ def _graph_step(
     own = own[team_of[dec.members[own]] == np.repeat(centre_team, dec.sizes())[own]]
     own = own[np.argsort(dec.members[own], kind="stable")]
     grouped = probs[own]
-    count = np.bincount(dec.members[own], minlength=len(world.agents))
+    count = np.bincount(dec.members[own], minlength=len(team_of))
     first = np.cumsum(count) - count
 
     # per agent id; every sub-graph member is a living agent and gets both
-    drawn = np.zeros(len(world.agents), dtype=np.int64)
-    executed = np.zeros(len(world.agents), dtype=np.int64)
-    alive = list(world.alive_agents())
-    for a in alive:
-        if a.team in random_teams:
-            drawn[a.id] = rng.integers(N_ACTIONS)
+    drawn = np.zeros(len(team_of), dtype=np.int64)
+    executed = np.zeros(len(team_of), dtype=np.int64)
+    ids = np.flatnonzero(world.alive)
+    for i, t in zip(ids.tolist(), team_of[ids].tolist()):
+        if t in random_teams:
+            drawn[i] = rng.integers(N_ACTIONS)
         else:
-            lo = first[a.id]
-            drawn[a.id], _ = ensemble_action(grouped[lo : lo + count[a.id]], mode=mode, rng=rng)
-    ids = np.array([a.id for a in alive], dtype=np.int64)
+            lo = first[i]
+            drawn[i], _ = ensemble_action(grouped[lo : lo + count[i]], mode=mode, rng=rng)
     executed[ids] = world.coerce(ids, drawn[ids])
 
     outcome = world.step(dict(zip(ids.tolist(), executed[ids].tolist())))
@@ -345,7 +341,7 @@ def rollout_graph(
     advanced past it.
     """
     steps: list[StepData] = []
-    agent_returns: dict[int, float] = {}
+    agent_returns = np.zeros(len(world.team))
     n_sub = 0
     size_sum = 0
     n_steps = 0
@@ -354,8 +350,8 @@ def rollout_graph(
         n_steps += 1
         n_sub += len(sd.acting)
         size_sum += int(sd.dec.sizes()[sd.acting].sum())
-        for aid, r in sd.outcome.rewards.items():
-            agent_returns[aid] = agent_returns.get(aid, 0.0) + r
+        rewards = sd.outcome.rewards
+        agent_returns[list(rewards)] += list(rewards.values())
         if collect:
             steps.append(sd)
         if on_step is not None:
@@ -373,9 +369,8 @@ def _flat_step(
 ) -> tuple[StepOutcome, dict[int, FlatStep]]:
     """One tick of the vanilla pipeline; returns per-team row records."""
     ids, feats = all_vertex_features(world)
-    team_of = world.teams()
-    team = team_of[ids]  # of each feature row
-    teams = sorted(set(team_of.tolist()))
+    team = world.team[ids]  # of each feature row
+    teams = np.unique(world.team).tolist()
     probs = np.empty((len(ids), N_ACTIONS))
     for t in teams:
         mask = team == t
@@ -417,14 +412,13 @@ def rollout_flat(
     random_teams: frozenset[int] = frozenset(),
 ) -> EpisodeResult:
     """Vanilla rollout: every agent acts on its own observation alone."""
-    flat: dict[int, list[FlatStep]] = {t: [] for t in sorted({a.team for a in world.agents})}
-    agent_returns: dict[int, float] = {}
+    flat: dict[int, list[FlatStep]] = {t: [] for t in np.unique(world.team).tolist()}
+    agent_returns = np.zeros(len(world.team))
     n_steps = 0
     while not world.finished:
         outcome, records = _flat_step(world, nets, rng, mode, random_teams)
         n_steps += 1
-        for aid, r in outcome.rewards.items():
-            agent_returns[aid] = agent_returns.get(aid, 0.0) + r
+        agent_returns[list(outcome.rewards)] += list(outcome.rewards.values())
         if collect:
             for team, rec in records.items():
                 flat[team].append(rec)
@@ -794,8 +788,8 @@ class Trainer:
         self.tcfg = trainer
         self.ncfg = network
         self.seed = seed
-        self.team = probe.teams()  # of each agent id
-        self.teams = sorted(set(self.team.tolist()))
+        self.team = probe.team  # of each agent id
+        self.teams = np.unique(self.team).tolist()
         self.nets = {
             t: new_team_nets(
                 trainer,

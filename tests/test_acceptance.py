@@ -6,7 +6,6 @@ Tolerances sit next to their assertions. The last three checks train real
 models and take a few minutes each; everything above them is fast.
 """
 
-import copy
 import dataclasses
 import decimal
 import math
@@ -287,11 +286,13 @@ def _shuffled_subgraph(sg: SubGraph, rng) -> SubGraph:
 
 
 def _relabelled_world(world, sigma):
-    w2 = copy.deepcopy(world)
-    for a in w2.agents:
-        a.id = sigma[a.id]
-    w2.agents.sort(key=lambda a: a.id)
-    return w2
+    """The world with agent i renamed sigma[i]; ids sigma leaves out are dead agents."""
+    ids = [sigma[i] for i in range(len(world.agents))]
+    n = max(ids) + 1
+    team, pos = np.zeros(n, dtype=np.int64), np.zeros((n, 2), dtype=np.int64)
+    alive, streak = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    team[ids], pos[ids], alive[ids], streak[ids] = world.team, world.pos, world.alive, world.streak
+    return dataclasses.replace(world, team=team, pos=pos, alive=alive, streak=streak)
 
 
 def _edge_set(sg: SubGraph) -> set:
@@ -386,7 +387,7 @@ def _transform_world(world, ops):
         walls=frozenset(t(p) for p in world.walls),
         foods=frozenset(t(p) for p in world.foods),
         landmarks=tuple(t(p) for p in world.landmarks),
-        agents=[dataclasses.replace(a, pos=t(a.pos)) for a in world.agents],
+        pos=[t(a.pos) for a in world.agents],
     )
 
 

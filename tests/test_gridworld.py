@@ -7,7 +7,6 @@ import pytest
 
 from gridmarl import (
     Action,
-    AgentState,
     ConfigError,
     EpisodeFinished,
     GridWorld,
@@ -17,6 +16,7 @@ from gridmarl import (
     UnknownAgent,
     new_scenario,
 )
+from gridmarl.graph import build_graph
 from gridmarl.gridworld import (
     CH_FOOD,
     CH_LANDMARK,
@@ -105,6 +105,32 @@ class TestConstruction:
             new_scenario(ScenarioConfig(Scenario.DECEPTION, 5, 5, agents=2, landmarks=0), 0)
         with pytest.raises(ConfigError):
             new_scenario(ScenarioConfig(Scenario.JUNGLE, 5, 5, agents=2, episode_limit=0), 0)
+
+
+class TestAgentViews:
+    def test_writes_reach_the_world_and_copies_stay_apart(self):
+        w = jungle(w=6, h=6, agents=3, foods=0, seed=2, limit=10)
+        assert w.agents[1] is w.agents[1]
+        # agents 0 and 1 side by side, 1 two crowded steps in, 2 dead
+        w.agents[0].pos = Position(2, 2)
+        w.agents[1].pos = Position(3, 2)
+        w.agents[1].streak = 2
+        w.agents[2].alive = False
+        g = build_graph(w)
+        assert g.ids.tolist() == [0, 1] and g.edges.tolist() == [[0, 1]]
+        out = w.step({0: Action.DOWN, 1: Action.IDLE})
+        assert out.deaths == [1]  # its third crowded step
+        a = w.agents[0]
+        assert (a.pos, a.alive, a.streak) == ((2, 3), True, 1)
+        assert [type(v) for v in (a.team, a.pos.x, a.pos.y, a.alive, a.streak)] == [int, int, int, bool, int]
+
+        twin = copy.deepcopy(w)
+        assert all(t.world is twin for t in twin.agents)
+        twin.agents[0].pos = Position(5, 5)
+        twin.agents[0].streak = 0
+        twin.agents[1].alive = True
+        assert (a.pos, a.streak, w.agents[1].alive) == ((2, 3), 1, False)
+        assert w.pos.tolist()[:2] == [[2, 3], [3, 2]] and twin.num_alive() == 2
 
 
 class TestObservation:
@@ -494,11 +520,10 @@ class TestStepMatchesLoopReference:
             walls=frozenset({Position(0, 0), Position(3, 2)}),
             foods=frozenset({Position(3, 0), Position(0, 2)}),
             landmarks=(), target=-1,
-            agents=[
-                AgentState(id=0, team=0, pos=Position(1, 0)),
-                AgentState(id=1, team=0, pos=Position(2, 2)),
-                AgentState(id=2, team=0, pos=Position(1, 1)),
-            ],
+            team=[0, 0, 0],
+            pos=[(1, 0), (2, 2), (1, 1)],
+            alive=[True, True, True],
+            streak=[0, 0, 0],
             episode_limit=5,
         )
         twin = copy.deepcopy(world)

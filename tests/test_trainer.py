@@ -7,7 +7,7 @@ import pytest
 
 from gridmarl import ConfigError, Scenario, ScenarioConfig, new_scenario
 from gridmarl.graph import build_graph, decompose
-from gridmarl.gridworld import AgentState, GridWorld, Position
+from gridmarl.gridworld import GridWorld, Position
 from gridmarl.nn import (
     add_scaled_,
     adam_step,
@@ -500,7 +500,10 @@ def corner_world(food):
         foods=frozenset({Position(*food)}),
         landmarks=(),
         target=-1,
-        agents=[AgentState(id=0, team=0, pos=Position(0, 0))],
+        team=[0],
+        pos=[(0, 0)],
+        alive=[True],
+        streak=[0],
         episode_limit=1,
     )
 
