@@ -4,12 +4,15 @@ Layout: an 8-byte magic/version preamble, a JSON header (sorted keys), then
 the arrays sorted by name, each as name / dtype / shape / raw little-endian
 bytes. No timestamps or environment data are written, so saving the same
 state twice produces byte-identical files and save -> load -> save
-round-trips exactly.
+round-trips exactly. A save writes a temporary file beside the target and
+renames it over the target, so a failed or interrupted save leaves the
+previous checkpoint whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -47,7 +50,17 @@ def save(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         blob += arr.tobytes()
-    Path(path).write_bytes(bytes(blob))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

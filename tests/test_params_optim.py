@@ -237,6 +237,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        from gridmarl.nn import checkpoint
+
+        p = tmp_path / "c.gmrl"
+        save_checkpoint(p, {"k": 1}, {"x": np.ones(3)})
+        before = p.read_bytes()
+
+        def fail(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint.os, "fsync", fail)
+        with pytest.raises(OSError):
+            save_checkpoint(p, {"k": 2}, {"x": np.zeros(300)})
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["c.gmrl"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.gmrl")
