@@ -314,8 +314,9 @@ class GridWorld:
 
     def legal_actions(self, agent_id: int) -> list[Action]:
         """The actions a living agent may take that :meth:`coerce` leaves unchanged."""
+        self.agent(agent_id)  # raises unless the agent is alive
         acts = np.arange(N_ACTIONS)
-        kept = self.coerce(np.full(N_ACTIONS, self.agent(agent_id).id), acts) == acts
+        kept = self.coerce(np.full(N_ACTIONS, agent_id), acts) == acts
         return [Action(a) for a in acts[kept].tolist()]
 
     def coerce(self, ids: np.ndarray, acts: np.ndarray) -> np.ndarray:

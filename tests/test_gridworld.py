@@ -122,7 +122,8 @@ class TestAgentViews:
         assert out.deaths == [1]  # its third crowded step
         a = w.agents[0]
         assert (a.pos, a.alive, a.streak) == ((2, 3), True, 1)
-        assert [type(v) for v in (a.team, a.pos.x, a.pos.y, a.alive, a.streak)] == [int, int, int, bool, int]
+        got = (a.team, a.pos.x, a.pos.y, a.alive, a.streak)
+        assert [type(v) for v in got] == [int, int, int, bool, int]
 
         twin = copy.deepcopy(w)
         assert all(t.world is twin for t in twin.agents)
