@@ -152,27 +152,31 @@ class ScenarioConfig:
         return DEFAULT_EPISODE_LIMIT[self.scenario]
 
 
-def _agent_field(name: str, cast: Callable) -> property:
-    """Entry ``id`` of the world's array ``name``, read as ``cast`` and written through."""
+def _agent_field(k: int, cast: Callable) -> property:
+    """Entry ``id`` of the view's k-th array, read as ``cast`` and written through."""
     return property(
-        lambda a: cast(getattr(a.world, name)[a.id]),
-        lambda a, v: getattr(a.world, name).__setitem__(a.id, v),
+        lambda a: cast(a.arrays[k][a.id]),
+        lambda a, v: a.arrays[k].__setitem__(a.id, v),
     )
 
 
 class AgentState:
-    """One agent of a world: a view of its entries in the world's per-id arrays."""
+    """One agent of a world: a view of its entries in the world's per-id arrays.
 
-    __slots__ = ("world", "id")
+    A view holds the arrays rather than the world, so a world and its views
+    form no reference cycle and a dropped world is freed at once.
+    """
 
-    def __init__(self, world: GridWorld, agent_id: int):
-        self.world = world
+    __slots__ = ("arrays", "id")
+
+    def __init__(self, arrays: tuple[np.ndarray, ...], agent_id: int):
+        self.arrays = arrays  # the world's team, pos, alive and streak
         self.id = agent_id
 
-    team = _agent_field("team", int)
-    pos = _agent_field("pos", lambda p: Position(*p.tolist()))
-    alive = _agent_field("alive", bool)
-    streak = _agent_field("streak", int)  # consecutive steps spent 8-adjacent to another agent
+    team = _agent_field(0, int)
+    pos = _agent_field(1, lambda p: Position(*p.tolist()))
+    alive = _agent_field(2, bool)
+    streak = _agent_field(3, int)  # consecutive steps spent 8-adjacent to another agent
 
 
 @dataclass
@@ -222,7 +226,8 @@ class GridWorld:
 
     The padded boards are derived from the fixed fields at construction; to
     change a fixed field, build a new world (``dataclasses.replace``). The
-    agent arrays are copied in, so a world never shares them with another.
+    agent arrays are copied in, so a world never shares them with another,
+    and are only written in place, so its views keep seeing them.
     """
 
     scenario: Scenario
@@ -253,7 +258,8 @@ class GridWorld:
         self.pos = np.array(self.pos, dtype=np.int64).reshape(-1, 2)
         self.alive = np.array(self.alive, dtype=bool)
         self.streak = np.array(self.streak, dtype=np.int64)
-        self.agents = [AgentState(self, i) for i in range(len(self.team))]
+        arrays = (self.team, self.pos, self.alive, self.streak)
+        self.agents = [AgentState(arrays, i) for i in range(len(self.team))]
 
         def board(cells) -> np.ndarray:
             out = np.zeros((self.height + 2, self.width + 2))

@@ -126,7 +126,7 @@ class TestAgentViews:
         assert [type(v) for v in got] == [int, int, int, bool, int]
 
         twin = copy.deepcopy(w)
-        assert all(t.world is twin for t in twin.agents)
+        assert all(t.arrays[1] is twin.pos for t in twin.agents)
         twin.agents[0].pos = Position(5, 5)
         twin.agents[0].streak = 0
         twin.agents[1].alive = True
