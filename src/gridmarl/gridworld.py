@@ -312,8 +312,8 @@ class GridWorld:
             return {0: float(alive0 > alive1), 1: float(alive1 > alive0)}
         if self.scenario is Scenario.DECEPTION:
             on = self.alive & (self.pos == self.target_cell()).all(axis=1)
-            on = [bool(on[self.team == t].any()) for t in (0, 1)]
-            return {0: float(on[0] and not on[1]), 1: float(on[1])}
+            home, adversary = (bool(on[self.team == t].any()) for t in (0, 1))
+            return {0: float(home and not adversary), 1: float(adversary)}
         return {}
 
     # -- agent-facing interface ------------------------------------------
