@@ -5,7 +5,10 @@ disjoint union: a stacked vertex-input matrix, directed edge index arrays
 offset per sub-graph, and a vertex-to-sub-graph map for the critic's sum
 pooling. The same forward routine runs in two modes sharing one code path:
 plain numpy (sampling, baseline sweeps) and recorded (builds an autodiff
-graph whose :func:`backward` yields parameter gradients).
+graph whose :func:`backward` yields parameter gradients). A baseline sweep
+(:func:`critic_deviations`) keeps the plain pass's states and patches them
+for each single-member action deviation, re-evaluating only the vertices
+and edges the deviation reaches.
 
 Wiring per round, following the two-panel network diagram: edges refresh
 first from their endpoints' current vertex values, then vertices refresh
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ShapeError, StaleTrace
-from ..graph import Decomposition, SubGraph
+from ..graph import Decomposition, SubGraph, _segment_arange
 from ..gridworld import N_ACTIONS
 from . import autodiff as ad
 from .params import LayerParams, MlpParams, NetParams, Params, zeros_like_params
@@ -42,6 +45,19 @@ class GraphBatch:
 
     def n_vertices(self) -> int:
         return self.x.shape[0]
+
+    def graphs(self, part: slice) -> GraphBatch:
+        """The sub-graphs ``part`` (a plain ascending slice) as a batch of their own."""
+        lo, hi = np.searchsorted(self.graph_of, [part.start, part.stop])
+        elo, ehi = np.searchsorted(self.graph_of[self.edge_src], [part.start, part.stop])
+        return GraphBatch(
+            x=self.x[lo:hi],
+            edge_src=self.edge_src[elo:ehi] - lo,
+            edge_dst=self.edge_dst[elo:ehi] - lo,
+            z0=self.z0[elo:ehi],
+            graph_of=self.graph_of[lo:hi] - part.start,
+            n_graphs=part.stop - part.start,
+        )
 
 
 def batch_subgraphs(
@@ -129,6 +145,20 @@ class _NumpyOps:
         return x
 
 
+class _KeepOps(_NumpyOps):
+    """Plain evaluation that allocates every result, so that the values a
+    trunk keeps (see :func:`_graph_trunk`) are never overwritten."""
+
+    def relu(self, x):
+        return np.maximum(x, 0.0)
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+
 class _RecordOps:
     """Autodiff evaluation: parameters become leaves, ops build the tape."""
 
@@ -171,7 +201,14 @@ class _RecordOps:
         return x.value
 
 
-def _graph_trunk(batch: GraphBatch, params: NetParams, ops):
+def _graph_trunk(batch: GraphBatch, params: NetParams, ops, keep: Optional[list] = None):
+    """The network's output rows; ``keep``, with :class:`_KeepOps`, gets the states.
+
+    Per round ``keep`` receives (s, pre, filt, fsum, sv): the vertex states
+    entering the round, the edge layer's pre-activation, the edge filters,
+    their sum into each vertex and the vertex messages. Last comes (s,), the
+    vertex states leaving the last round.
+    """
     if batch.x.shape[1] != params.in_dim:
         raise ShapeError(
             f"vertex inputs have width {batch.x.shape[1]}, network expects {params.in_dim}"
@@ -181,13 +218,19 @@ def _graph_trunk(batch: GraphBatch, params: NetParams, ops):
     z = ops.wrap(batch.z0)
     for r, rp in enumerate(params.rounds):
         cat = ops.concat([z, ops.gather(s, src), ops.gather(s, dst)])
-        z = ops.relu(ops.linear(cat, ops.layer(f"rounds.{r}.edge", rp.edge)))
+        pre = ops.linear(cat, ops.layer(f"rounds.{r}.edge", rp.edge))
+        z = ops.relu(pre)
         filt = ops.relu(ops.linear(z, ops.layer(f"rounds.{r}.z_rel", rp.z_rel)))
         sv = ops.linear(s, ops.layer(f"rounds.{r}.v_lin", rp.v_lin))
         # sum_e sv[dst_e] * filt_e over the edges into v is sv[v] * sum_e filt_e
-        agg = ops.mul(sv, ops.segsum(filt, dst, batch.n_vertices()))
+        fsum = ops.segsum(filt, dst, batch.n_vertices())
+        if keep is not None:
+            keep.append((s, pre, filt, fsum, sv))
+        agg = ops.mul(sv, fsum)
         lift = ops.relu(ops.linear(agg, ops.layer(f"rounds.{r}.post_rel", rp.post_rel)))
         s = ops.add(s, ops.linear(lift, ops.layer(f"rounds.{r}.post_lin", rp.post_lin)))
+    if keep is not None:
+        keep.append((s,))
     if params.pooled:
         s = ops.segsum(s, batch.graph_of, batch.n_graphs)
     hid = ops.relu(ops.linear(s, ops.layer("head_rel", params.head_rel)))
@@ -233,6 +276,198 @@ def critic_values(
         return out.value.reshape(-1), Trace(out, ops.leaves, params, params.version)
     out = _graph_trunk(batch, params, _NumpyOps())
     return out.reshape(-1), None
+
+
+# -- single-member deviations of a critic batch --------------------------------
+
+
+@dataclass
+class _Regions:
+    """Where each vertex row's action deviation reaches, round by round.
+
+    A deviation at row j changes, in round i, the edges with an endpoint
+    within i hops of j and the vertices within i + 1 hops, hops taken along
+    the edges of j's sub-graph. The region pairs (j, u), u within ``rounds``
+    hops of j, are ordered by j, then u. ``edges[i]`` lists round i's changed
+    (j, edge) pairs as (edge, src pair, dst pair, previous): the pair
+    positions of the edge's endpoints, the sentinel ``len(row)`` outside the
+    region, and the pair's position among round i - 1's changed edges, the
+    sentinel ``len`` of those when it is not among them.
+    """
+
+    row: np.ndarray     # (P,) deviating vertex row j
+    vertex: np.ndarray  # (P,) vertex u
+    hops: np.ndarray    # (P,) hops from j to u
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _by_endpoint(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges grouped by one endpoint: each vertex's first slot, its count, the edge order."""
+    count = np.bincount(ends, minlength=n)
+    return np.cumsum(count) - count, count, np.argsort(ends, kind="stable")
+
+
+def _leaving(rows: np.ndarray, verts: np.ndarray, grouped) -> tuple[np.ndarray, np.ndarray]:
+    """(row, edge) for each edge at each of ``verts``, grouped by :func:`_by_endpoint`."""
+    first, count, order = grouped
+    return np.repeat(rows, count[verts]), order[_segment_arange(first[verts], count[verts])]
+
+
+def _regions(batch: GraphBatch, rounds: int) -> _Regions:
+    v = batch.n_vertices()
+    src, dst = batch.edge_src, batch.edge_dst
+    size = np.bincount(batch.graph_of, minlength=batch.n_graphs)
+    first = (np.cumsum(size) - size)[batch.graph_of]  # first row of each row's sub-graph
+    span = size[batch.graph_of]
+    # a dense table over (j, every vertex of j's sub-graph)
+    start = np.cumsum(span) - span
+    dense_row = np.repeat(np.arange(v), span)
+    dense_vertex = np.arange(len(dense_row)) - start[dense_row] + first[dense_row]
+
+    def at(j, u):
+        return start[j] + u - first[u]
+
+    by_src, by_dst = _by_endpoint(src, v), _by_endpoint(dst, v)
+
+    hops = np.full(len(dense_row), rounds + 1)
+    hops[at(np.arange(v), np.arange(v))] = 0
+    for level in range(rounds):
+        front = np.flatnonzero(hops == level)
+        j, e = _leaving(dense_row[front], dense_vertex[front], by_src)
+        reached = at(j, dst[e])
+        hops[reached[hops[reached] > level + 1]] = level + 1
+
+    region = np.flatnonzero(hops <= rounds)
+    pos = np.full(len(hops), len(region))
+    pos[region] = np.arange(len(region))
+    reg = _Regions(dense_row[region], dense_vertex[region], hops[region], [])
+    prev_key = np.zeros(0, dtype=np.int64)
+    for i in range(rounds):
+        near = reg.hops <= i
+        j, e = _leaving(reg.row[near], reg.vertex[near], by_src)
+        j_in, e_in = _leaving(reg.row[near], reg.vertex[near], by_dst)
+        far = hops[at(j_in, src[e_in])] > i  # not an edge leaving the near pairs
+        j = np.concatenate([j, j_in[far]])
+        e = np.concatenate([e, e_in[far]])
+        key = j * len(src) + e
+        prev = np.full(len(key), len(prev_key))
+        if len(prev_key):
+            order = np.argsort(prev_key)
+            hit = order[np.minimum(np.searchsorted(prev_key, key, sorter=order), len(order) - 1)]
+            found = prev_key[hit] == key
+            prev[found] = hit[found]
+        reg.edges.append((e, pos[at(j, src[e])], pos[at(j, dst[e])], prev))
+        prev_key = key
+    return reg
+
+
+def deviation_sizes(batch: GraphBatch, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per sub-graph, the vertex rows and edges that :func:`critic_deviations`
+    evaluates for it under a ``rounds``-round network: (g,) each."""
+    reg = _regions(batch, rounds)
+    alts, g = N_ACTIONS - 1, batch.n_graphs
+    rows = alts * np.bincount(batch.graph_of[reg.row], minlength=g)
+    if not rounds:
+        return rows, np.zeros(g, dtype=np.int64)
+    edge = reg.edges[-1][0]  # the last round changes the most edges
+    return rows, alts * np.bincount(batch.graph_of[batch.edge_src[edge]], minlength=g)
+
+
+def _times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` over the last axis of ``x``, as one matrix product."""
+    return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(*x.shape[:-1], w.shape[0])
+
+
+def _sum_rows(x: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+    """(n, ...) array whose row k sums the rows i of ``x`` with seg[i] == k.
+
+    One weighted ``np.bincount`` over every element, which adds in row order
+    like :func:`autodiff.scatter_rows`; for the small deviation arrays, whose
+    rows hold several columns, that beats a count per column. Float64 even
+    when ``x`` is empty, where ``np.bincount`` counts in int64.
+    """
+    width = int(np.prod(x.shape[1:]))
+    flat = (seg[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=x.ravel(), minlength=n * width)
+    return out.astype(np.float64, copy=False).reshape(n, *x.shape[1:])
+
+
+def _with_zero_row(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x, np.zeros((1, *x.shape[1:]))])
+
+
+def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray, np.ndarray]:
+    """Critic values of a batch built with joints, and of its single-member deviations.
+
+    Returns the base values (g,) and the deviation values (v, 4): element
+    (j, k) is the value of row j's sub-graph with row j's action switched to
+    the k-th of the four other actions, ascending. The base pass keeps its
+    states; a deviation re-evaluates only what it changes (:class:`_Regions`)
+    and reads the rest from them. Each linear layer splits over its
+    concatenated input, so a changed pre-activation is the base one plus
+    the changed part's product; the first change is the difference of two
+    action columns of the embedding; the pooled sum is the base sum plus the
+    changed rows' differences. Plain numpy, nothing recorded.
+    """
+    if not params.pooled:
+        raise ShapeError("deviations are defined for a pooled critic")
+    kept: list = []
+    base = _graph_trunk(batch, params, _KeepOps(), kept).reshape(-1)
+    reg = _regions(batch, len(params.rounds))
+    n_pairs, alts, d, h = len(reg.row), N_ACTIONS - 1, params.edge_dim, params.hidden
+    held = batch.x[:, -N_ACTIONS:].argmax(axis=1)
+    other = np.arange(alts) + (np.arange(alts) >= held[:, None])  # (v, 4)
+    act = params.ebd.w[:, -N_ACTIONS:].T  # each action's embedding column
+
+    # each region pair's vertex-state change under its row's four deviations
+    ds = np.zeros((n_pairs, alts, h))
+    ds[reg.hops == 0] = act[other] - act[held][:, None]
+    for i, rp in enumerate(params.rounds):
+        s, pre, filt, fsum, sv = kept[i]
+        e, ps, pd, prev = reg.edges[i]
+        near = np.flatnonzero(reg.hops <= i)  # the pairs changed so far
+        slot = np.full(n_pairs + 1, len(near))  # a pair's row among them, else a zero row
+        slot[near] = np.arange(len(near))
+        w_z, w_src, w_dst = np.split(rp.edge.w, [d, d + h], axis=1)
+        by_src, by_dst, by_v = (_with_zero_row(_times(ds[near], w)) for w in (w_src, w_dst, rp.v_lin.w))
+
+        z = np.take(by_src, slot[ps], axis=0)
+        z += np.take(by_dst, slot[pd], axis=0)
+        if i:
+            z += _times(np.take(dz, prev, axis=0), w_z)
+        z += pre[e][:, None]
+        z = np.maximum(z, 0.0, out=z)
+        if i + 1 < len(params.rounds):
+            dz = _with_zero_row(z - np.maximum(pre[e], 0.0)[:, None])
+        dfilt = _times(z, rp.z_rel.w)
+        dfilt += rp.z_rel.b
+        dfilt = np.maximum(dfilt, 0.0, out=dfilt)
+        dfilt -= filt[e][:, None]
+
+        reach = np.flatnonzero(reg.hops <= i + 1)  # the pairs changed after this round
+        at = np.empty(n_pairs, dtype=np.int64)
+        at[reach] = np.arange(len(reach))
+        u = reg.vertex[reach]
+        agg = _sum_rows(dfilt, at[pd], len(reach))
+        agg += fsum[u][:, None]
+        msg = np.take(by_v, slot[reach], axis=0)
+        msg += sv[u][:, None]
+        agg *= msg
+        lift = _times(agg, rp.post_rel.w)
+        lift += rp.post_rel.b
+        lift = np.maximum(lift, 0.0, out=lift)
+        upd = _times(lift, rp.post_lin.w)
+        upd += rp.post_lin.b - kept[i + 1][0][u][:, None] + s[u][:, None]  # less the base update
+        upd += ds[reach]
+        ds[reach] = upd
+
+    pooled = ad.scatter_rows(kept[-1][0], batch.graph_of, batch.n_graphs)
+    dev = _sum_rows(ds, reg.row, batch.n_vertices())
+    dev += pooled[batch.graph_of][:, None]
+    hid = _times(dev, params.head_rel.w)
+    hid += params.head_rel.b
+    hid = np.maximum(hid, 0.0, out=hid)
+    return base, _times(hid, params.head_lin.w)[..., 0] + params.head_lin.b[0]
 
 
 def mlp_logprobs(

@@ -55,10 +55,11 @@ from ..gridworld import (
     new_scenario,
 )
 from ..nn.network import (
-    GraphBatch,
     backward,
     batch_subgraphs,
+    critic_deviations,
     critic_values,
+    deviation_sizes,
     mlp_logprobs,
     policy_logprobs,
 )
@@ -489,57 +490,6 @@ def _chunks(rows: np.ndarray, edges: np.ndarray) -> Iterator[slice]:
         start = end
 
 
-def _sweep_batch(entries: Sequence[tuple[SubGraph, np.ndarray]]) -> GraphBatch:
-    """The base joint and its single-member deviations as one union graph.
-
-    Entry i of m members contributes 4m + 1 copies of its sub-graph: copy 0
-    holds the base joint, and copy c > 0 holds it with member (c - 1) // 4
-    switched to the ((c - 1) % 4)-th of the four actions other than its base
-    action, in ascending order.
-    """
-    alts = N_ACTIONS - 1
-    joints = [np.asarray(j, dtype=np.int64) for _, j in entries]
-    base = batch_subgraphs([sg for sg, _ in entries], joints=joints)
-    held = np.concatenate(joints)  # base action per base row
-    sizes, n_edges = _sizes([sg for sg, _ in entries])
-    entry_row = np.cumsum(sizes) - sizes  # base row of each entry's slot 0
-    entry_edge = np.cumsum(n_edges) - n_edges
-
-    copies = alts * sizes + 1
-    entry_of_copy = np.repeat(np.arange(len(entries)), copies)
-    copy_in_entry = np.arange(len(entry_of_copy)) - np.repeat(np.cumsum(copies) - copies, copies)
-    m_of_copy = sizes[entry_of_copy]
-    first_row = np.cumsum(m_of_copy) - m_of_copy  # union row of each copy's slot 0
-
-    copy_of_row = np.repeat(np.arange(len(m_of_copy)), m_of_copy)
-    row = np.arange(len(copy_of_row)) - first_row[copy_of_row]
-    x = np.take(base.x, entry_row[entry_of_copy][copy_of_row] + row, axis=0)
-    dev = np.flatnonzero(copy_in_entry)  # every copy but the base ones
-    slot = (copy_in_entry[dev] - 1) // alts
-    alt = (copy_in_entry[dev] - 1) % alts
-    alt += alt >= held[entry_row[entry_of_copy[dev]] + slot]  # step over the base action
-    swept = first_row[dev] + slot
-    x[swept, -N_ACTIONS:] = 0.0
-    x[swept, x.shape[1] - N_ACTIONS + alt] = 1.0
-
-    e_of_copy = n_edges[entry_of_copy]
-    copy_of_edge = np.repeat(np.arange(len(e_of_copy)), e_of_copy)
-    edge = (
-        entry_edge[entry_of_copy][copy_of_edge]
-        + np.arange(len(copy_of_edge))
-        - (np.cumsum(e_of_copy) - e_of_copy)[copy_of_edge]
-    )
-    shift = (first_row - entry_row[entry_of_copy])[copy_of_edge]
-    return GraphBatch(
-        x=x,
-        edge_src=np.take(base.edge_src, edge) + shift,
-        edge_dst=np.take(base.edge_dst, edge) + shift,
-        z0=np.take(base.z0, edge, axis=0),
-        graph_of=copy_of_row,
-        n_graphs=len(m_of_copy),
-    )
-
-
 def sweep_values(
     entries: Sequence[tuple[SubGraph, np.ndarray]],
     critic: NetParams,
@@ -548,25 +498,28 @@ def sweep_values(
 
     For an entry (sub-graph, base joint) the result is an (m, 5) array whose
     (j, a) element is q(sg, base with member j's action replaced by a). The
-    base joint is evaluated once and fills every row's base-action column;
-    its 4m single-member deviations fill the rest. All entries' copies
-    (:func:`_sweep_batch`) run in a few large batched forwards. An entry of
-    m members and e edges brings (4m + 1)m vertex rows and (4m + 1)e edges
-    to its forward; a forward holds at most ``ROW_BUDGET`` rows and
-    ``EDGE_BUDGET`` edges unless one entry alone exceeds them.
+    base joint is evaluated once and fills every row's base-action column.
+    Its 4m single-member deviations fill the rest: each re-evaluates only
+    the vertices and edges it changes and reads everything else from the
+    base pass (:func:`critic_deviations`). A forward holds at most
+    ``ROW_BUDGET`` deviation rows and ``EDGE_BUDGET`` deviation edges unless
+    one entry alone exceeds them.
     """
     if not entries:
         return []
-    sizes, n_edges = _sizes([sg for sg, _ in entries])
-    copies = (N_ACTIONS - 1) * sizes + 1
-    parts = _chunks(copies * sizes, copies * n_edges)
-    values = np.concatenate([critic_values(_sweep_batch(entries[part]), critic)[0] for part in parts])
-    base = np.cumsum(copies) - copies  # each entry's base copy
-    table = np.repeat(np.repeat(values[base], sizes)[:, None], N_ACTIONS, axis=1)
+    batch = batch_subgraphs([sg for sg, _ in entries], joints=[j for _, j in entries])
+    sizes = np.bincount(batch.graph_of, minlength=len(entries))
+    first = np.concatenate([[0], np.cumsum(sizes)])  # first member row per entry
+    base = np.empty(len(entries))
+    dev = np.empty((first[-1], N_ACTIONS - 1))
+    for part in _chunks(*deviation_sizes(batch, len(critic.rounds))):
+        rows = slice(first[part.start], first[part.stop])
+        base[part], dev[rows] = critic_deviations(batch.graphs(part), critic)
+    table = np.repeat(np.repeat(base, sizes)[:, None], N_ACTIONS, axis=1)
     held = np.concatenate([np.asarray(j, dtype=np.int64) for _, j in entries])
-    # row-major order: members in order, actions ascending, as _sweep_batch lays them out
-    table[np.arange(N_ACTIONS) != held[:, None]] = np.delete(values, base)
-    return np.split(table, np.cumsum(sizes)[:-1])
+    # row-major order: members in order, the other actions ascending
+    table[np.arange(N_ACTIONS) != held[:, None]] = dev.ravel()
+    return [table[lo:hi] for lo, hi in zip(first[:-1], first[1:])]
 
 
 def chunked_critic_values(

@@ -14,6 +14,7 @@ from gridmarl.nn import (
     backward,
     batch_subgraphs,
     critic_forward,
+    deviation_sizes,
     max_abs,
     mlp_logprobs,
     policy_forward,
@@ -37,7 +38,6 @@ from gridmarl.rl.core import ensemble_action
 from gridmarl.rl.trainer import (
     Transition,
     _graph_step,
-    _sweep_batch,
     ac_episode_grads,
     chunked_critic_values,
     graph_pg_episode_grads,
@@ -238,36 +238,37 @@ class TestSweeps:
         for a, b in zip(whole, tiny):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_sweep_batch_matches_per_entry_copies(self):
-        # loop reference: 4m + 1 single-graph copies per entry, the base
-        # joint first, then one per member j and action a other than j's
-        # base action, members in order and actions ascending
-        nets, trs = self.build(seed=3)
-        entries = [(tr.step.sg, tr.step.executed) for tr in trs]
-        got = _sweep_batch(entries)
-        xs, srcs, dsts, zs, owner = [], [], [], [], []
-        rows = 0
-        for sg, base in entries:
-            m = sg.n_members()
-            for c in range(-1, 5 * m):
-                if c >= 0 and c % 5 == base[c // 5]:
-                    continue
-                joint = np.asarray(base).copy()
-                if c >= 0:
-                    joint[c // 5] = c % 5
-                one = batch_subgraphs([sg], joints=[joint])
-                xs.append(one.x)
-                srcs.append(one.edge_src + rows)
-                dsts.append(one.edge_dst + rows)
-                zs.append(one.z0)
-                owner.append(np.full(m, len(owner)))
-                rows += m
-        assert got.n_graphs == len(owner)
-        np.testing.assert_array_equal(got.x, np.concatenate(xs))
-        np.testing.assert_array_equal(got.edge_src, np.concatenate(srcs))
-        np.testing.assert_array_equal(got.edge_dst, np.concatenate(dsts))
-        np.testing.assert_array_equal(got.z0, np.concatenate(zs))
-        np.testing.assert_array_equal(got.graph_of, np.concatenate(owner))
+    @pytest.mark.parametrize("scenario", [Scenario.JUNGLE, Scenario.BATTLE])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_sweep_matches_per_deviation_forwards(self, scenario, rounds):
+        # loop reference: one critic_forward per (member, action), on random
+        # crowded worlds with stacked agents, critic biases jittered off zero
+        rng = np.random.default_rng(rounds)
+        partial = 0  # deviations whose reach is less than their whole sub-graph
+        for _ in range(3):
+            cfg = jungle_cfg(agents=10) if scenario is Scenario.JUNGLE else battle_cfg(agents=5)
+            world = new_scenario(cfg, int(rng.integers(1 << 30)))
+            for a in world.agents:
+                if rng.random() < 0.3:
+                    a.pos = world.agents[int(rng.integers(len(world.agents)))].pos
+            critic = new_team_nets(
+                TrainerConfig(algorithm="graph-ac"), NetConfig(hidden=6, rounds=rounds), rng
+            ).critic
+            for _, layer in critic.layers():
+                layer.b += rng.normal(scale=0.3, size=layer.b.shape)
+            dec = decompose(build_graph(world), depth=3)
+            entries = [(sg, rng.integers(5, size=sg.n_members())) for sg in dec]
+            rows, _ = deviation_sizes(batch_subgraphs(dec), rounds)
+            partial += 4 * int((dec.sizes() ** 2).sum()) - int(rows.sum())
+            for (sg, base), table in zip(entries, sweep_values(entries, critic)):
+                want = np.empty((sg.n_members(), 5))
+                for j in range(sg.n_members()):
+                    for a in range(5):
+                        swept = base.copy()
+                        swept[j] = a
+                        want[j, a] = critic_forward(sg, swept, critic)
+                np.testing.assert_allclose(table, want, rtol=1e-12, atol=1e-12)
+        assert partial > 0
 
     def test_chunked_values_match(self, monkeypatch):
         nets, trs = self.build(seed=2)
@@ -279,7 +280,8 @@ class TestSweeps:
             assert v == pytest.approx(critic_forward(sg, joint, critic), abs=1e-12)
 
     def test_sweep_chunks_stay_within_the_edge_budget(self, monkeypatch):
-        # a crowded world: sub-graphs of many members, each swept 4m + 1 times
+        # a crowded world: sub-graphs of many members, each deviation
+        # reaching much of its sub-graph
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg, seed=6)
@@ -287,26 +289,32 @@ class TestSweeps:
         team_of = {a.id: a.team for a in world.agents}
         entries = [(tr.step.sg, tr.step.executed) for tr in team_transitions(res.steps, team_of, 0)]
         critic = nets[0].critic
-        budget = max((4 * sg.n_members() + 1) * len(sg.edge_src) for sg, _ in entries)
-        edges = []
-        plain = trainer.critic_values
+        rows, edges = deviation_sizes(
+            batch_subgraphs([sg for sg, _ in entries]), len(critic.rounds)
+        )
+        chunks = []
+        plain = trainer.critic_deviations
 
-        def counting(batch, params, record=False):
-            edges.append(len(batch.edge_src))
-            return plain(batch, params, record=record)
+        def counting(batch, params):
+            chunks.append(deviation_sizes(batch, len(params.rounds)))
+            return plain(batch, params)
 
-        monkeypatch.setattr(trainer, "critic_values", counting)
-        monkeypatch.setattr(trainer, "ROW_BUDGET", 10**9)
-        monkeypatch.setattr(trainer, "EDGE_BUDGET", budget)
-        got = sweep_values(entries, critic)
-        assert len(edges) > 1
-        assert max(edges) <= budget
-        monkeypatch.setattr(trainer, "EDGE_BUDGET", 10**9)
-        split = len(edges)
-        whole = sweep_values(entries, critic)
-        assert len(edges) == split + 1
-        for a, b in zip(got, whole):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        monkeypatch.setattr(trainer, "critic_deviations", counting)
+        for row_budget, edge_budget in ((int(rows.max()), 10**9), (10**9, int(edges.max()))):
+            monkeypatch.setattr(trainer, "ROW_BUDGET", row_budget)
+            monkeypatch.setattr(trainer, "EDGE_BUDGET", edge_budget)
+            chunks.clear()
+            split = sweep_values(entries, critic)
+            assert len(chunks) > 1
+            for r, e in chunks:
+                assert r.sum() <= row_budget and e.sum() <= edge_budget
+            monkeypatch.setattr(trainer, "ROW_BUDGET", 10**9)
+            monkeypatch.setattr(trainer, "EDGE_BUDGET", 10**9)
+            chunks.clear()
+            whole = sweep_values(entries, critic)
+            assert len(chunks) == 1
+            for a, b in zip(split, whole):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def naive_ac_grads(transitions, nets, tcfg):
@@ -384,23 +392,29 @@ class TestEpisodeGrads:
                 params_allclose(cri, want_c)
 
     def test_batch_call_sweeps_each_step_once(self, monkeypatch):
-        # every successor is a later transition's own step, so the critic
-        # sees 4m^2 deviation rows and m base rows per step, plus the m rows
-        # of the recorded critic pass
+        # every successor is a later transition's own step, so the sweep's
+        # base pass sees each step's m rows once, and the critic's only
+        # other pass is the recorded one over the same rows
         tcfg, nets, res, team_of = self.setup_ac(seed=2)
         trs = team_transitions(res.steps, team_of, 0)
         assert any(tr.next is not None for tr in trs)
-        rows = []
-        plain = trainer.critic_values
+        swept, valued = [], []
+        sweep_plain, values_plain = trainer.critic_deviations, trainer.critic_values
 
-        def counting(batch, params, record=False):
-            rows.append(batch.n_vertices())
-            return plain(batch, params, record=record)
+        def sweeping(batch, params):
+            swept.append(batch.n_vertices())
+            return sweep_plain(batch, params)
 
-        monkeypatch.setattr(trainer, "critic_values", counting)
+        def valuing(batch, params, record=False):
+            valued.append(batch.n_vertices())
+            return values_plain(batch, params, record=record)
+
+        monkeypatch.setattr(trainer, "critic_deviations", sweeping)
+        monkeypatch.setattr(trainer, "critic_values", valuing)
         ac_episode_grads(trs, nets[0], tcfg)
         m = np.array([tr.step.sg.n_members() for tr in trs])
-        assert sum(rows) == int((4 * m**2 + m).sum() + m.sum())
+        assert sum(swept) == int(m.sum())
+        assert sum(valued) == int(m.sum())
 
     def test_ac_stored_vs_fresh_probs_agree_before_updates(self):
         # nothing has stepped the optimizer, so stored and recomputed
