@@ -6,7 +6,16 @@ depth-limited sub-graph around itself via a small message-passing network,
 and its final action ensembles the distributions every nearby sub-graph
 assigns to it. Everything runs on numpy with a built-in reverse-mode
 gradient tape; no deep-learning framework is required.
+
+Importing the package before numpy pins its BLAS to one thread unless the
+caller set a thread count: seeded runs then give the same bits on every
+machine, and a busy host does not stall products spread over two cores.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .errors import (
     CheckpointError,

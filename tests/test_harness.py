@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridmarl
 from gridmarl import (
     CheckpointError,
     ConfigError,
@@ -502,6 +505,34 @@ class TestCli:
         assert main(["train", str(cfg_b)]) == 0
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "checkpoint.gmrl").read_bytes() == (out_b / "checkpoint.gmrl").read_bytes()
+
+    def test_train_is_byte_identical_with_blas_threads_unset_or_one(self, tmp_path):
+        # a crowded world whose products are large enough for OpenBLAS to
+        # spread over several threads, which changes their last bits, unless
+        # the package pins one thread when the caller sets none
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = os.path.dirname(os.path.dirname(gridmarl.__file__))
+        checkpoints = []
+        for threads in (None, "1"):
+            out = tmp_path / f"threads-{threads}"
+            cfg = tmp_path / f"threads-{threads}.yaml"
+            cfg.write_text(
+                "scenario: {type: jungle, width: 30, height: 30, agents: 300, foods: 60, episode_limit: 2}\n"
+                "trainer: {algorithm: graph-ac, depth: 2, batch_episodes: 2}\n"
+                "network: {hidden: 16, rounds: 1}\n"
+                f"run: {{seed: 0, batches: 1, out_dir: {out}}}\n"
+            )
+            env = {k: v for k, v in os.environ.items() if k not in blas}
+            env["PYTHONPATH"] = src
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            code = "import sys; from gridmarl.harness.cli import main; sys.exit(main(sys.argv[1:]))"
+            subprocess.run(
+                [sys.executable, "-c", code, "train", str(cfg)], env=env, check=True,
+                capture_output=True, timeout=300,
+            )
+            checkpoints.append((out / "checkpoint.gmrl").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_bad_config_exits_2_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
