@@ -266,13 +266,6 @@ def _episode_stats(
     )
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF categorical draw per row."""
-    u = rng.random((probs.shape[0], 1))
-    acts = (np.cumsum(probs, axis=1) < u).sum(axis=1)
-    return np.minimum(acts, N_ACTIONS - 1).astype(np.int64)
-
-
 def _graph_step(
     world: GridWorld,
     nets: Mapping[int, TeamNets],
@@ -294,10 +287,6 @@ def _graph_step(
         logp, _ = policy_logprobs(batch_subgraphs(dec.take(mine)), nets[team].policy)
         p = np.exp(logp)
         p /= p.sum(axis=1, keepdims=True)
-        if mode == "sample":
-            # nothing reads these per-sub-graph draws; the call stays because
-            # seeded runs depend on the rng stream it consumes
-            _sample_rows(p, rng)
         probs[dec.rows(mine)] = p
 
     # an agent ensembles its rows of the sub-graphs its own team sampled,
