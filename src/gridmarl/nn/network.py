@@ -289,16 +289,15 @@ class _Regions:
     within i hops of j and the vertices within i + 1 hops, hops taken along
     the edges of j's sub-graph. The region pairs (j, u), u within ``rounds``
     hops of j, are ordered by j, then u. ``edges[i]`` lists round i's changed
-    (j, edge) pairs as (edge, src pair, dst pair, previous): the pair
-    positions of the edge's endpoints, the sentinel ``len(row)`` outside the
-    region, and the pair's position among round i - 1's changed edges, the
-    sentinel ``len`` of those when it is not among them.
+    (j, edge) pairs as (edge, src pair, dst pair), the pair positions of the
+    edge's endpoints, ``len(row)`` for an endpoint outside the region; its
+    first rows are round i - 1's changed pairs, in their order.
     """
 
     row: np.ndarray     # (P,) deviating vertex row j
     vertex: np.ndarray  # (P,) vertex u
     hops: np.ndarray    # (P,) hops from j to u
-    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _by_endpoint(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,36 +327,31 @@ def _regions(batch: GraphBatch, rounds: int) -> _Regions:
         return start[j] + u - first[u]
 
     by_src, by_dst = _by_endpoint(src, v), _by_endpoint(dst, v)
-
     hops = np.full(len(dense_row), rounds + 1)
     hops[at(np.arange(v), np.arange(v))] = 0
+    # breadth first, one level per round: the edges at the pairs `level` hops
+    # out that no earlier round changed are the ones this round adds
+    added = []
     for level in range(rounds):
         front = np.flatnonzero(hops == level)
         j, e = _leaving(dense_row[front], dense_vertex[front], by_src)
+        j_in, e_in = _leaving(dense_row[front], dense_vertex[front], by_dst)
         reached = at(j, dst[e])
+        out = hops[reached] >= level
+        into = hops[at(j_in, src[e_in])] > level  # not an edge leaving the front
         hops[reached[hops[reached] > level + 1]] = level + 1
+        j = np.concatenate([j[out], j_in[into]])
+        e = np.concatenate([e[out], e_in[into]])
+        added.append((e, at(j, src[e]), at(j, dst[e])))
 
     region = np.flatnonzero(hops <= rounds)
     pos = np.full(len(hops), len(region))
     pos[region] = np.arange(len(region))
     reg = _Regions(dense_row[region], dense_vertex[region], hops[region], [])
-    prev_key = np.zeros(0, dtype=np.int64)
-    for i in range(rounds):
-        near = reg.hops <= i
-        j, e = _leaving(reg.row[near], reg.vertex[near], by_src)
-        j_in, e_in = _leaving(reg.row[near], reg.vertex[near], by_dst)
-        far = hops[at(j_in, src[e_in])] > i  # not an edge leaving the near pairs
-        j = np.concatenate([j, j_in[far]])
-        e = np.concatenate([e, e_in[far]])
-        key = j * len(src) + e
-        prev = np.full(len(key), len(prev_key))
-        if len(prev_key):
-            order = np.argsort(prev_key)
-            hit = order[np.minimum(np.searchsorted(prev_key, key, sorter=order), len(order) - 1)]
-            found = prev_key[hit] == key
-            prev[found] = hit[found]
-        reg.edges.append((e, pos[at(j, src[e])], pos[at(j, dst[e])], prev))
-        prev_key = key
+    changed = (np.zeros(0, dtype=np.int64),) * 3
+    for e, ps, pd in added:
+        changed = tuple(np.concatenate(pair) for pair in zip(changed, (e, pos[ps], pos[pd])))
+        reg.edges.append(changed)
     return reg
 
 
@@ -424,7 +418,7 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
     ds[reg.hops == 0] = act[other] - act[held][:, None]
     for i, rp in enumerate(params.rounds):
         s, pre, filt, fsum, sv = kept[i]
-        e, ps, pd, prev = reg.edges[i]
+        e, ps, pd = reg.edges[i]
         near = np.flatnonzero(reg.hops <= i)  # the pairs changed so far
         slot = np.full(n_pairs + 1, len(near))  # a pair's row among them, else a zero row
         slot[near] = np.arange(len(near))
@@ -433,22 +427,22 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
 
         z = np.take(by_src, slot[ps], axis=0)
         z += np.take(by_dst, slot[pd], axis=0)
-        if i:
-            z += _times(np.take(dz, prev, axis=0), w_z)
+        if i:  # the edges the last round changed come first
+            z[: len(dz)] += _times(dz, w_z)
         z += pre[e][:, None]
         z = np.maximum(z, 0.0, out=z)
         if i + 1 < len(params.rounds):
-            dz = _with_zero_row(z - np.maximum(pre[e], 0.0)[:, None])
+            dz = z - np.maximum(pre[e], 0.0)[:, None]
         dfilt = _times(z, rp.z_rel.w)
         dfilt += rp.z_rel.b
         dfilt = np.maximum(dfilt, 0.0, out=dfilt)
         dfilt -= filt[e][:, None]
 
         reach = np.flatnonzero(reg.hops <= i + 1)  # the pairs changed after this round
-        at = np.empty(n_pairs, dtype=np.int64)
-        at[reach] = np.arange(len(reach))
+        reach_slot = np.empty(n_pairs, dtype=np.int64)
+        reach_slot[reach] = np.arange(len(reach))
         u = reg.vertex[reach]
-        agg = _sum_rows(dfilt, at[pd], len(reach))
+        agg = _sum_rows(dfilt, reach_slot[pd], len(reach))
         agg += fsum[u][:, None]
         msg = np.take(by_v, slot[reach], axis=0)
         msg += sv[u][:, None]
@@ -457,14 +451,13 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
         lift += rp.post_rel.b
         lift = np.maximum(lift, 0.0, out=lift)
         upd = _times(lift, rp.post_lin.w)
-        upd += rp.post_lin.b - kept[i + 1][0][u][:, None] + s[u][:, None]  # less the base update
+        upd += (rp.post_lin.b + s[u] - kept[i + 1][0][u])[:, None]  # less the base pass's update
         upd += ds[reach]
         ds[reach] = upd
 
-    pooled = ad.scatter_rows(kept[-1][0], batch.graph_of, batch.n_graphs)
-    dev = _sum_rows(ds, reg.row, batch.n_vertices())
-    dev += pooled[batch.graph_of][:, None]
-    hid = _times(dev, params.head_rel.w)
+    pooled = _sum_rows(ds, reg.row, batch.n_vertices())
+    pooled += ad.scatter_rows(kept[-1][0], batch.graph_of, batch.n_graphs)[batch.graph_of][:, None]
+    hid = _times(pooled, params.head_rel.w)
     hid += params.head_rel.b
     hid = np.maximum(hid, 0.0, out=hid)
     return base, _times(hid, params.head_lin.w)[..., 0] + params.head_lin.b[0]
