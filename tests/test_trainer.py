@@ -300,6 +300,10 @@ class TestSweeps:
             return plain(batch, params)
 
         monkeypatch.setattr(trainer, "critic_deviations", counting)
+        monkeypatch.setattr(trainer, "ROW_BUDGET", 10**9)
+        monkeypatch.setattr(trainer, "EDGE_BUDGET", 10**9)
+        whole = sweep_values(entries, critic)
+        assert len(chunks) == 1
         for row_budget, edge_budget in ((int(rows.max()), 10**9), (10**9, int(edges.max()))):
             monkeypatch.setattr(trainer, "ROW_BUDGET", row_budget)
             monkeypatch.setattr(trainer, "EDGE_BUDGET", edge_budget)
@@ -308,11 +312,6 @@ class TestSweeps:
             assert len(chunks) > 1
             for r, e in chunks:
                 assert r.sum() <= row_budget and e.sum() <= edge_budget
-            monkeypatch.setattr(trainer, "ROW_BUDGET", 10**9)
-            monkeypatch.setattr(trainer, "EDGE_BUDGET", 10**9)
-            chunks.clear()
-            whole = sweep_values(entries, critic)
-            assert len(chunks) == 1
             for a, b in zip(split, whole):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
