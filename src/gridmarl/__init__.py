@@ -26,6 +26,7 @@ from .errors import (
     EpisodeFinished,
     GridmarlError,
     MemberNotFound,
+    NonFiniteError,
     ResourceError,
     ShapeError,
     ShapeMismatch,
@@ -92,6 +93,7 @@ __all__ = [
     "N_ACTIONS",
     "N_CHANNELS",
     "NetConfig",
+    "NonFiniteError",
     "OBS_SIZE",
     "Position",
     "ResourceError",

@@ -41,6 +41,10 @@ class MemberNotFound(GridmarlError):
     """The named agent is not a member of the given sub-graph."""
 
 
+class NonFiniteError(GridmarlError):
+    """A gradient or parameter holds an infinite or NaN value."""
+
+
 class ResourceError(GridmarlError):
     """A run exceeded its memory budget."""
 

@@ -27,7 +27,7 @@ level, over the graph's adjacency in compressed sparse rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -287,6 +287,17 @@ class Decomposition:
             edge_feat=self.edge_feat[edges],
             edge_offsets=_offsets(n_edges),
             depth=self.depth,
+        )
+
+    @staticmethod
+    def concat(parts: Sequence[Decomposition]) -> Decomposition:
+        """The sub-graphs of ``parts``, one part after another, as one decomposition."""
+        arrays = ("centres", "members", "features", "edge_src", "edge_dst", "edge_dist", "edge_feat")
+        return Decomposition(
+            **{name: np.concatenate([getattr(p, name) for p in parts]) for name in arrays},
+            offsets=_offsets(np.concatenate([p.sizes() for p in parts])),
+            edge_offsets=_offsets(np.concatenate([np.diff(p.edge_offsets) for p in parts])),
+            depth=parts[0].depth,
         )
 
 

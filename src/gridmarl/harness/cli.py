@@ -168,17 +168,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     )
     for sg in sgs:
         members = ", ".join(str(int(m)) for m in sg.members)
-        pairs = sorted(
-            {
-                (min(int(sg.members[i]), int(sg.members[j])), max(int(sg.members[i]), int(sg.members[j])))
-                for i, j in zip(sg.edge_src, sg.edge_dst)
-            }
-        )
-        dist_of = {}
-        for i, j, d in zip(sg.edge_src, sg.edge_dst, sg.edge_dist):
-            a, b = sorted((int(sg.members[i]), int(sg.members[j])))
-            dist_of[(a, b)] = d
-        edges = ", ".join(f"({a},{b}) d={dist_of[(a, b)]:.2f}" for a, b in pairs)
+        ends = np.sort(sg.members[np.stack([sg.edge_src, sg.edge_dst], axis=1)], axis=1)
+        dist_of = {(int(a), int(b)): d for (a, b), d in zip(ends, sg.edge_dist)}
+        edges = ", ".join(f"({a},{b}) d={d:.2f}" for (a, b), d in sorted(dist_of.items()))
         print(f"sub-graph centre {sg.centre}: members [{members}] edges [{edges}]")
     return 0
 

@@ -27,12 +27,6 @@ _SCENARIO_KEYS = {
     "type", "width", "height", "agents", "foods", "landmarks",
     "adversaries", "walls", "episode_limit",
 }
-_TRAINER_KEYS = {
-    "algorithm", "gamma", "lr_policy", "lr_critic", "depth",
-    "batch_episodes", "per_step_updates",
-}
-_NETWORK_KEYS = {"hidden", "rounds", "delta_d", "n_max"}
-_RUN_KEYS = {"seed", "batches", "out_dir", "metrics_every", "timing"}
 _BLOCKS = ("scenario", "trainer", "network", "run")
 
 
@@ -120,17 +114,11 @@ def _scenario_from(data: Mapping[str, Any]) -> ScenarioConfig:
     return ScenarioConfig(**fields)
 
 
-def _dataclass_from(
-    block: str, data: Mapping[str, Any], cls: type, allowed: set[str]
-) -> Any:
-    _check_keys(block, data, allowed)
-    fields = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        # every field of these config dataclasses carries a typed default
-        fields[f.name] = _coerce(block, f.name, data[f.name], type(f.default))
-    return cls(**fields)
+def _dataclass_from(block: str, data: Mapping[str, Any], cls: type) -> Any:
+    """The block's keys are the dataclass's fields, each with a typed default."""
+    known = dataclasses.fields(cls)
+    _check_keys(block, data, {f.name for f in known})
+    return cls(**{f.name: _coerce(block, f.name, data[f.name], type(f.default)) for f in known if f.name in data})
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
@@ -145,9 +133,9 @@ def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:
             raise ConfigError(f"{name} block must be a mapping")
     cfg = RunConfig(
         scenario=_scenario_from(raw["scenario"]),
-        trainer=_dataclass_from("trainer", raw.get("trainer", {}), TrainerConfig, _TRAINER_KEYS),
-        network=_dataclass_from("network", raw.get("network", {}), NetConfig, _NETWORK_KEYS),
-        run=_dataclass_from("run", raw.get("run", {}), RunBlock, _RUN_KEYS),
+        trainer=_dataclass_from("trainer", raw.get("trainer", {}), TrainerConfig),
+        network=_dataclass_from("network", raw.get("network", {}), NetConfig),
+        run=_dataclass_from("run", raw.get("run", {}), RunBlock),
     )
     env_out = os.environ.get(OUT_DIR_ENV)
     if env_out:

@@ -21,7 +21,7 @@ from ..gridworld import Scenario, ScenarioConfig
 from ..nn.checkpoint import load as load_container
 from ..nn.checkpoint import save as save_container
 from ..nn.optim import AdamState, PlateauSchedule
-from ..nn.params import LayerParams, MlpParams, NetParams, Params, RoundParams
+from ..nn.params import LayerParams, MlpParams, NetParams, Params, RoundParams, check_finite
 from ..rl.trainer import NetConfig, TeamNets, TrainerConfig
 
 STATE_KIND = "gridmarl-trainer-state"
@@ -161,6 +161,9 @@ def save_state(
     team_state: dict[str, Any] = {}
     for t in sorted(nets):
         tn = nets[t]
+        for net, params in (("policy", tn.policy), ("critic", tn.critic)):
+            if params is not None:
+                check_finite(params, f"team {t} {net} parameters, saving after {batch_index} batches")
         prefix = f"team{t}"
         _pack_params(f"{prefix}.policy", tn.policy, arrays)
         entry: dict[str, Any] = {

@@ -20,8 +20,8 @@ entering as per-vertex one-hot input columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,9 +42,15 @@ class GraphBatch:
     z0: np.ndarray         # (e, d) radial-basis edge features
     graph_of: np.ndarray   # (v,) owning sub-graph per row
     n_graphs: int
+    regions: Optional[_Regions] = field(default=None, repr=False)  # kept by _regions
 
     def n_vertices(self) -> int:
         return self.x.shape[0]
+
+    def sizes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex rows and edges of each sub-graph: (g,) each."""
+        of = self.graph_of
+        return np.bincount(of, minlength=self.n_graphs), np.bincount(of[self.edge_src], minlength=self.n_graphs)
 
     def graphs(self, part: slice) -> GraphBatch:
         """The sub-graphs ``part`` (a plain ascending slice) as a batch of their own."""
@@ -57,6 +63,7 @@ class GraphBatch:
             z0=self.z0[elo:ehi],
             graph_of=self.graph_of[lo:hi] - part.start,
             n_graphs=part.stop - part.start,
+            regions=None if self.regions is None else self.regions.rows(lo, hi, elo, ehi),
         )
 
 
@@ -67,10 +74,10 @@ def batch_subgraphs(
     """Stack sub-graphs into one union graph.
 
     ``sgs`` is a decomposition, whose arrays are stacked already, or a
-    sequence of sub-graphs. With ``joints`` (one action vector per sub-graph,
-    aligned with its members) each vertex input gains a one-hot action
-    block: the critic's input layout. Plain vertex features otherwise: the
-    policy's.
+    sequence of sub-graphs. With ``joints`` (action vectors that, joined,
+    hold one action per member row: one per sub-graph, or one for a whole
+    decomposition) each vertex input gains a one-hot action block: the
+    critic's input layout. Plain vertex features otherwise: the policy's.
     """
     if isinstance(sgs, Decomposition):
         sizes, n_edges = sgs.sizes(), np.diff(sgs.edge_offsets)
@@ -141,9 +148,6 @@ class _NumpyOps:
         shifted = x - x.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def value(self, x):
-        return x
-
 
 class _KeepOps(_NumpyOps):
     """Plain evaluation that allocates every result, so that the values a
@@ -196,9 +200,6 @@ class _RecordOps:
 
     def log_softmax(self, x):
         return ad.log_softmax(x)
-
-    def value(self, x):
-        return x.value
 
 
 def _graph_trunk(batch: GraphBatch, params: NetParams, ops, keep: Optional[list] = None):
@@ -254,28 +255,28 @@ class Trace:
     version: int
 
 
+def _run(forward: Callable, params: Params, record: bool) -> tuple[np.ndarray, Optional[Trace]]:
+    """``forward(ops)`` in plain numpy, or recorded for :func:`backward`."""
+    if not record:
+        return forward(_NumpyOps()), None
+    ops = _RecordOps()
+    out = forward(ops)
+    return out.value, Trace(out, ops.leaves, params, params.version)
+
+
 def policy_logprobs(
     batch: GraphBatch, params: NetParams, record: bool = False
 ) -> tuple[np.ndarray, Optional[Trace]]:
     """Per-vertex log-probabilities, shape (v, 5)."""
-    if record:
-        ops = _RecordOps()
-        out = ops.log_softmax(_graph_trunk(batch, params, ops))
-        return out.value, Trace(out, ops.leaves, params, params.version)
-    ops = _NumpyOps()
-    return ops.log_softmax(_graph_trunk(batch, params, ops)), None
+    return _run(lambda ops: ops.log_softmax(_graph_trunk(batch, params, ops)), params, record)
 
 
 def critic_values(
     batch: GraphBatch, params: NetParams, record: bool = False
 ) -> tuple[np.ndarray, Optional[Trace]]:
     """One scalar per sub-graph, shape (g,)."""
-    if record:
-        ops = _RecordOps()
-        out = _graph_trunk(batch, params, ops)
-        return out.value.reshape(-1), Trace(out, ops.leaves, params, params.version)
-    out = _graph_trunk(batch, params, _NumpyOps())
-    return out.reshape(-1), None
+    vals, trace = _run(lambda ops: _graph_trunk(batch, params, ops), params, record)
+    return vals.reshape(-1), trace
 
 
 # -- single-member deviations of a critic batch --------------------------------
@@ -290,7 +291,7 @@ class _Regions:
     the edges of j's sub-graph. The region pairs (j, u), u within ``rounds``
     hops of j, are ordered by j, then u. ``edges[i]`` lists round i's changed
     (j, edge) pairs as (edge, src pair, dst pair), the pair positions of the
-    edge's endpoints, ``len(row)`` for an endpoint outside the region; its
+    edge's endpoints, both within i + 1 hops and so in the region; its
     first rows are round i - 1's changed pairs, in their order.
     """
 
@@ -298,6 +299,13 @@ class _Regions:
     vertex: np.ndarray  # (P,) vertex u
     hops: np.ndarray    # (P,) hops from j to u
     edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def rows(self, lo: int, hi: int, elo: int, ehi: int) -> _Regions:
+        """The regions of rows ``lo:hi``, whose sub-graphs hold edges ``elo:ehi``, renumbered."""
+        plo, phi = np.searchsorted(self.row, [lo, hi])
+        keep = [(e >= elo) & (e < ehi) for e, _, _ in self.edges]
+        edges = [(e[k] - elo, ps[k] - plo, pd[k] - plo) for (e, ps, pd), k in zip(self.edges, keep)]
+        return _Regions(self.row[plo:phi] - lo, self.vertex[plo:phi] - lo, self.hops[plo:phi], edges)
 
 
 def _by_endpoint(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,6 +321,9 @@ def _leaving(rows: np.ndarray, verts: np.ndarray, grouped) -> tuple[np.ndarray, 
 
 
 def _regions(batch: GraphBatch, rounds: int) -> _Regions:
+    """The batch's regions under ``rounds`` rounds, computed once and kept on it."""
+    if batch.regions is not None and len(batch.regions.edges) == rounds:
+        return batch.regions
     v = batch.n_vertices()
     src, dst = batch.edge_src, batch.edge_dst
     size = np.bincount(batch.graph_of, minlength=batch.n_graphs)
@@ -352,6 +363,7 @@ def _regions(batch: GraphBatch, rounds: int) -> _Regions:
     for e, ps, pd in added:
         changed = tuple(np.concatenate(pair) for pair in zip(changed, (e, pos[ps], pos[pd])))
         reg.edges.append(changed)
+    batch.regions = reg
     return reg
 
 
@@ -423,17 +435,18 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
         slot = np.full(n_pairs + 1, len(near))  # a pair's row among them, else a zero row
         slot[near] = np.arange(len(near))
         w_z, w_src, w_dst = np.split(rp.edge.w, [d, d + h], axis=1)
-        by_src, by_dst, by_v = (_with_zero_row(_times(ds[near], w)) for w in (w_src, w_dst, rp.v_lin.w))
-
-        z = np.take(by_src, slot[ps], axis=0)
-        z += np.take(by_dst, slot[pd], axis=0)
+        # each temporary is (changed edges or pairs) x 4 x h: release it once used
+        z = np.take(_with_zero_row(_times(ds[near], w_src)), slot[ps], axis=0)
+        z += np.take(_with_zero_row(_times(ds[near], w_dst)), slot[pd], axis=0)
         if i:  # the edges the last round changed come first
             z[: len(dz)] += _times(dz, w_z)
+            del dz
         z += pre[e][:, None]
         z = np.maximum(z, 0.0, out=z)
         if i + 1 < len(params.rounds):
             dz = z - np.maximum(pre[e], 0.0)[:, None]
         dfilt = _times(z, rp.z_rel.w)
+        del z
         dfilt += rp.z_rel.b
         dfilt = np.maximum(dfilt, 0.0, out=dfilt)
         dfilt -= filt[e][:, None]
@@ -443,17 +456,19 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
         reach_slot[reach] = np.arange(len(reach))
         u = reg.vertex[reach]
         agg = _sum_rows(dfilt, reach_slot[pd], len(reach))
+        del dfilt
         agg += fsum[u][:, None]
-        msg = np.take(by_v, slot[reach], axis=0)
-        msg += sv[u][:, None]
-        agg *= msg
+        agg *= np.take(_with_zero_row(_times(ds[near], rp.v_lin.w)), slot[reach], axis=0) + sv[u][:, None]
         lift = _times(agg, rp.post_rel.w)
+        del agg
         lift += rp.post_rel.b
         lift = np.maximum(lift, 0.0, out=lift)
         upd = _times(lift, rp.post_lin.w)
+        del lift
         upd += (rp.post_lin.b + s[u] - kept[i + 1][0][u])[:, None]  # less the base pass's update
         upd += ds[reach]
         ds[reach] = upd
+        del upd
 
     pooled = _sum_rows(ds, reg.row, batch.n_vertices())
     pooled += ad.scatter_rows(kept[-1][0], batch.graph_of, batch.n_graphs)[batch.graph_of][:, None]
@@ -467,12 +482,7 @@ def mlp_logprobs(
     x: np.ndarray, params: MlpParams, record: bool = False
 ) -> tuple[np.ndarray, Optional[Trace]]:
     """Row-wise log-probabilities of the vanilla policy, shape (n, 5)."""
-    if record:
-        ops = _RecordOps()
-        out = ops.log_softmax(_mlp_trunk(ops.wrap(x), params, ops))
-        return out.value, Trace(out, ops.leaves, params, params.version)
-    ops = _NumpyOps()
-    return ops.log_softmax(_mlp_trunk(x, params, ops)), None
+    return _run(lambda ops: ops.log_softmax(_mlp_trunk(ops.wrap(x), params, ops)), params, record)
 
 
 def backward(trace: Trace, seed: np.ndarray) -> Params:

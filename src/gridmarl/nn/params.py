@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import NonFiniteError, ShapeError
 
 
 @dataclass
@@ -107,6 +107,13 @@ class MlpParams:
 
 
 Params = NetParams | MlpParams
+
+
+def check_finite(params: Params, what: str) -> None:
+    """Raise :class:`NonFiniteError` at the first layer holding an inf or a NaN."""
+    for path, layer in params.layers():
+        if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
+            raise NonFiniteError(f"non-finite {what}, layer {path}")
 
 
 def new_graph_net(

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,6 +54,7 @@ from ..gridworld import (
     new_scenario,
 )
 from ..nn.network import (
+    GraphBatch,
     backward,
     batch_subgraphs,
     critic_deviations,
@@ -69,12 +69,13 @@ from ..nn.params import (
     NetParams,
     Params,
     add_scaled_,
+    check_finite,
     new_graph_net,
     new_mlp,
     scale_,
     zeros_like_params,
 )
-from .core import ensemble_action, returns_to_go
+from .core import ensemble_action
 
 ALGORITHMS = ("vanilla-pg", "graph-pg", "graph-ac")
 
@@ -164,25 +165,13 @@ def new_team_nets(tcfg: TrainerConfig, ncfg: NetConfig, rng: np.random.Generator
 
 
 @dataclass
-class SubStep:
-    """One sub-graph's sampling record within one step."""
-
-    sg: SubGraph
-    probs: np.ndarray     # (m, 5) member distributions at sampling time
-    sampled: np.ndarray   # (m,) ensemble draws before coercion; the actor credits these
-    executed: np.ndarray  # (m,) post-coercion actions the world executed
-    reward: float = 0.0   # centre's reward for this step
-
-
-@dataclass
 class StepData:
     """One tick of a graph rollout, kept as arrays.
 
     ``acting`` indexes the sub-graphs whose centre's team sampled them from
     its policy; ``probs`` holds their member rows (the rows of other
     sub-graphs are unset). ``drawn`` and ``executed`` are indexed by agent
-    id. :attr:`per_centre` builds the per-sub-graph records that training
-    reads, once, on first use.
+    id.
     """
 
     dec: Decomposition
@@ -192,32 +181,27 @@ class StepData:
     executed: np.ndarray  # post-coercion action per agent id
     outcome: StepOutcome
 
-    @cached_property
-    def per_centre(self) -> dict[int, SubStep]:
-        out = {}
-        for i in self.acting.tolist():
-            sg = self.dec[i]
-            out[sg.centre] = SubStep(
-                sg=sg,
-                probs=self.probs[self.dec.offsets[i] : self.dec.offsets[i + 1]],
-                sampled=self.drawn[sg.members],
-                executed=self.executed[sg.members],
-                reward=self.outcome.rewards[sg.centre],
-            )
-        return out
-
 
 @dataclass
-class Transition:
-    """One centre agent's (sub-graph, action, reward, successor) tuple."""
+class Transitions:
+    """One team's (sub-graph, action, reward, successor) records, as arrays.
 
-    step: SubStep
-    next: Optional[SubStep]  # None once the agent or episode terminated
-    t: int
+    ``dec`` holds the team's acting sub-graphs, step after step, centres
+    ascending. Its first ``len(self)`` are transitions, each with its centre's
+    reward and the index of the centre's sub-graph one step later (-1 once
+    the agent or the episode ended); any after them are successors only.
+    """
 
-    @property
-    def centre(self) -> int:
-        return self.step.sg.centre
+    dec: Decomposition
+    t: np.ndarray         # (s,) step of each sub-graph
+    probs: np.ndarray     # (M, 5) member distributions at sampling time
+    sampled: np.ndarray   # (M,) ensemble draws before coercion; the actor credits these
+    executed: np.ndarray  # (M,) post-coercion actions the world executed
+    reward: np.ndarray    # (n,) centre's reward, per transition
+    succ: np.ndarray      # (n,) successor's sub-graph index, or -1
+
+    def __len__(self) -> int:
+        return len(self.reward)
 
 
 @dataclass
@@ -432,32 +416,34 @@ def play_step(
     return _graph_step(world, nets, tcfg, ncfg, rng, mode, random_teams).outcome
 
 
-def team_transitions(
-    steps: Sequence[StepData], team_of: np.ndarray | Mapping[int, int], team: int
-) -> list[Transition]:
-    """Assemble per-centre transitions with successor links for one team.
-
-    ``team_of`` gives each agent id's team, as a per-id array or a mapping.
-    """
-    out: list[Transition] = []
-    for t, sd in enumerate(steps):
-        nxt = steps[t + 1].per_centre if t + 1 < len(steps) else {}
-        for centre, ss in sd.per_centre.items():
-            if team_of[centre] != team:
-                continue
-            out.append(Transition(step=ss, next=nxt.get(centre), t=t))
-    return out
+def team_transitions(steps: Sequence[StepData], team_of: np.ndarray, team: int) -> Transitions:
+    """One team's transitions over ``steps``; ``team_of`` gives each agent id's team."""
+    parts, probs, sampled, executed, reward = [], [], [], [], []
+    for sd in steps:
+        mine = sd.acting[team_of[sd.dec.centres[sd.acting]] == team]
+        parts.append(part := sd.dec.take(mine))
+        probs.append(sd.probs[sd.dec.rows(mine)])
+        sampled.append(sd.drawn[part.members])
+        executed.append(sd.executed[part.members])
+        reward += [sd.outcome.rewards[c] for c in part.centres.tolist()]
+    dec = Decomposition.concat(parts)
+    t = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    # the successor holds key (t + 1, centre); keys ascend, step after step
+    keys = t * len(team_of) + dec.centres
+    want = keys + len(team_of)
+    hit = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return Transitions(
+        dec=dec,
+        t=t,
+        probs=np.concatenate(probs),
+        sampled=np.concatenate(sampled),
+        executed=np.concatenate(executed),
+        reward=np.array(reward, dtype=np.float64),
+        succ=np.where(keys[hit] == want, hit, -1),
+    )
 
 
 # -- chunked batched forwards ------------------------------------------------
-
-
-def _sizes(sgs: Sequence[SubGraph]) -> tuple[np.ndarray, np.ndarray]:
-    """Members and directed edges of each sub-graph."""
-    return (
-        np.array([sg.n_members() for sg in sgs], dtype=np.int64),
-        np.array([len(sg.edge_src) for sg in sgs], dtype=np.int64),
-    )
 
 
 def _chunks(rows: np.ndarray, edges: np.ndarray) -> Iterator[slice]:
@@ -479,8 +465,22 @@ def _chunks(rows: np.ndarray, edges: np.ndarray) -> Iterator[slice]:
         start = end
 
 
+@dataclass
+class Entries:
+    """(sub-graph, joint) pairs as arrays; ``entries[i]`` builds pair i on demand."""
+
+    dec: Decomposition
+    joints: np.ndarray  # (M,) actions, rows of dec
+
+    def __len__(self) -> int:
+        return len(self.dec)
+
+    def __getitem__(self, i: int) -> tuple[SubGraph, np.ndarray]:
+        return self.dec[i], self.joints[self.dec.offsets[i] : self.dec.offsets[i + 1]]
+
+
 def sweep_values(
-    entries: Sequence[tuple[SubGraph, np.ndarray]],
+    entries: Entries | Sequence[tuple[SubGraph, np.ndarray]],
     critic: NetParams,
 ) -> list[np.ndarray]:
     """Critic values for every (member, action) sweep of each entry.
@@ -496,8 +496,11 @@ def sweep_values(
     """
     if not entries:
         return []
-    batch = batch_subgraphs([sg for sg, _ in entries], joints=[j for _, j in entries])
-    sizes = np.bincount(batch.graph_of, minlength=len(entries))
+    if isinstance(entries, Entries):
+        batch = batch_subgraphs(entries.dec, joints=[entries.joints])
+    else:
+        batch = batch_subgraphs([sg for sg, _ in entries], joints=[j for _, j in entries])
+    sizes, _ = batch.sizes()
     first = np.concatenate([[0], np.cumsum(sizes)])  # first member row per entry
     base = np.empty(len(entries))
     dev = np.empty((first[-1], N_ACTIONS - 1))
@@ -505,7 +508,7 @@ def sweep_values(
         rows = slice(first[part.start], first[part.stop])
         base[part], dev[rows] = critic_deviations(batch.graphs(part), critic)
     table = np.repeat(np.repeat(base, sizes)[:, None], N_ACTIONS, axis=1)
-    held = np.concatenate([np.asarray(j, dtype=np.int64) for _, j in entries])
+    held = batch.x[:, -N_ACTIONS:].argmax(axis=1)
     # row-major order: members in order, the other actions ascending
     table[np.arange(N_ACTIONS) != held[:, None]] = dev.ravel()
     return [table[lo:hi] for lo, hi in zip(first[:-1], first[1:])]
@@ -517,65 +520,58 @@ def chunked_critic_values(
 ) -> np.ndarray:
     """Plain critic values for (sub-graph, joint) pairs, chunked."""
     vals = np.empty(len(entries))
-    sgs = [sg for sg, _ in entries]
-    for part in _chunks(*_sizes(sgs)):
-        batch = batch_subgraphs(sgs[part], joints=[j for _, j in entries[part]])
-        vals[part] = critic_values(batch, critic)[0]
+    batch = batch_subgraphs([sg for sg, _ in entries], joints=[j for _, j in entries])
+    for part in _chunks(*batch.sizes()):
+        vals[part] = critic_values(batch.graphs(part), critic)[0]
     return vals
 
 
 # -- per-episode gradient computation ----------------------------------------
 
 
-def _substep_probs(substeps: Sequence[SubStep], policy: NetParams) -> list[np.ndarray]:
-    """Recompute member distributions under the current parameters."""
-    sgs = [ss.sg for ss in substeps]
-    sizes, n_edges = _sizes(sgs)
-    out: list[np.ndarray] = []
-    for part in _chunks(sizes, n_edges):
-        logp, _ = policy_logprobs(batch_subgraphs(sgs[part]), policy)
-        probs = np.exp(logp)
-        probs /= probs.sum(axis=1, keepdims=True)
-        out += np.split(probs, np.cumsum(sizes[part])[:-1])
-    return out
+def _fresh_probs(dec: Decomposition, policy: NetParams) -> np.ndarray:
+    """Member distributions under the current parameters, rows of ``dec``."""
+    batch = batch_subgraphs(dec)
+    logp = [policy_logprobs(batch.graphs(part), policy)[0] for part in _chunks(*batch.sizes())]
+    probs = np.exp(np.concatenate(logp))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
-def _policy_pass(transitions: Sequence[Transition], coeffs: np.ndarray, policy: NetParams) -> Params:
+def _policy_pass(transitions: Transitions, coeffs: np.ndarray, policy: NetParams) -> Params:
     """Gradient of sum over (sub-graph, member) of coeff * ln pi(sampled).
 
-    ``coeffs`` holds one coefficient per member row, the transitions' members
-    in order. Each member is credited with its ensemble draw taken before
+    ``coeffs`` holds one coefficient per member row of the transitions'
+    sub-graphs. Each member is credited with its ensemble draw taken before
     coercion: a blocked move the world turned into Idle is a world dynamic,
     not an action of the policy, so crediting the executed Idle would bias
     the score-function estimator.
     """
     grads = zeros_like_params(policy)
-    sgs = [tr.step.sg for tr in transitions]
-    sizes, n_edges = _sizes(sgs)
+    batch = batch_subgraphs(transitions.dec)
+    sizes, n_edges = (a[: len(transitions)] for a in batch.sizes())
     first = np.concatenate([[0], np.cumsum(sizes)])  # first member row per transition
-    sampled = np.concatenate([tr.step.sampled for tr in transitions])
     for part in _chunks(sizes, n_edges):
         rows = slice(first[part.start], first[part.stop])
-        logp, trace = policy_logprobs(batch_subgraphs(sgs[part]), policy, record=True)
+        logp, trace = policy_logprobs(batch.graphs(part), policy, record=True)
         seed = np.zeros_like(logp)
-        seed[np.arange(len(logp)), sampled[rows]] = coeffs[rows]
+        seed[np.arange(len(logp)), transitions.sampled[rows]] = coeffs[rows]
         add_scaled_(grads, backward(trace, seed))
     return grads
 
 
-def _critic_pass(transitions: Sequence[Transition], coeffs: np.ndarray, critic: NetParams) -> Params:
-    """Gradient of sum over sub-graphs of coeff * q(sg, executed joint)."""
+def _critic_pass(transitions: Transitions, coeffs: np.ndarray, critic: NetParams) -> Params:
+    """Gradient of sum over transitions of coeff * q(sg, executed joint)."""
     grads = zeros_like_params(critic)
-    sgs = [tr.step.sg for tr in transitions]
-    for part in _chunks(*_sizes(sgs)):
-        batch = batch_subgraphs(sgs[part], joints=[tr.step.executed for tr in transitions[part]])
-        _, trace = critic_values(batch, critic, record=True)
+    batch = batch_subgraphs(transitions.dec, joints=[transitions.executed])
+    for part in _chunks(*(a[: len(transitions)] for a in batch.sizes())):
+        _, trace = critic_values(batch.graphs(part), critic, record=True)
         add_scaled_(grads, backward(trace, coeffs[part]))
     return grads
 
 
 def ac_episode_grads(
-    transitions: Sequence[Transition],
+    transitions: Transitions,
     nets: TeamNets,
     tcfg: TrainerConfig,
     fresh_probs: bool = False,
@@ -590,78 +586,68 @@ def ac_episode_grads(
     sub-graph), and delta = R + gamma*v' - v weights both the actor's
     log-probability gradient and the critic's value gradient. The actor term
     attaches to each member's ensemble draw taken before coercion
-    (``SubStep.sampled``); the critic is trained on, and swept around, the
-    executed joint.
+    (``Transitions.sampled``); the critic is trained on, and swept around,
+    the executed joint.
 
-    Each ``SubStep`` is swept once per call. In batch mode a successor is a
-    later transition's own step, the same object (:func:`team_transitions`),
-    so v' reads that step's sweep. Only successors that are no step of the
-    call are swept besides; in per-step mode that is all of them.
+    Each sub-graph of ``transitions.dec`` is swept once per call, and v'
+    reads its successor's sweep: in batch mode a later transition's, in
+    per-step mode one of the successors held after the transitions.
     """
     assert nets.critic is not None
     policy, critic = nets.policy, nets.critic
     if not transitions:
         return zeros_like_params(policy), zeros_like_params(critic)
 
-    # each distinct SubStep once: the transitions' own steps in order, then
-    # the successors that are none of them
-    steps = [tr.step for tr in transitions]
-    index = {id(ss): k for k, ss in enumerate(steps)}
-    for tr in transitions:
-        if tr.next is not None and id(tr.next) not in index:
-            index[id(tr.next)] = len(steps)
-            steps.append(tr.next)
-    probs = _substep_probs(steps, policy) if fresh_probs else [ss.probs for ss in steps]
-    table = np.concatenate(sweep_values([(ss.sg, ss.executed) for ss in steps], critic))
-
-    # one row per (step, member), the transitions' own steps first
-    sizes = np.array([ss.sg.n_members() for ss in steps])
-    members = np.concatenate([ss.sg.members for ss in steps])
-    value = (np.concatenate(probs) * table).sum(axis=1)  # each member's baseline
-    plain = table[np.cumsum(sizes) - sizes, [ss.executed[0] for ss in steps]]  # base joint values
+    # one row per (sub-graph, member), the transitions' own first
+    dec, executed = transitions.dec, transitions.executed
+    probs = _fresh_probs(dec, policy) if fresh_probs else transitions.probs
+    table = np.concatenate(sweep_values(Entries(dec, executed), critic))
+    sizes, members = dec.sizes(), dec.members
+    value = (probs * table).sum(axis=1)  # each member's baseline
+    plain = table[dec.offsets[:-1], executed[dec.offsets[:-1]]]  # base joint values
 
     # v' of each own row: the successor's row of the same agent, found by its
-    # (step, agent) key, or the successor's plain value when the agent left it
+    # (sub-graph, agent) key, or the successor's plain value when the agent left it
     own_sizes = sizes[: len(transitions)]
-    succ = np.repeat([-1 if tr.next is None else index[id(tr.next)] for tr in transitions], own_sizes)
+    succ = np.repeat(transitions.succ, own_sizes)
     stride = int(members.max()) + 1
-    keys = np.repeat(np.arange(len(steps)), sizes) * stride + members
+    keys = np.repeat(np.arange(len(dec)), sizes) * stride + members
     order = np.argsort(keys)
     want = succ * stride + members[: len(succ)]
     hit = order[np.minimum(np.searchsorted(keys, want, sorter=order), len(keys) - 1)]
     vn = np.where(keys[hit] == want, value[hit], plain[succ])
     vn[succ < 0] = 0.0
 
-    reward = np.repeat([tr.step.reward for tr in transitions], own_sizes)
+    reward = np.repeat(transitions.reward, own_sizes)
     deltas = reward + tcfg.gamma * vn - value[: len(succ)]
-    per_transition = np.split(deltas, np.cumsum(own_sizes)[:-1])
     pol = _policy_pass(transitions, deltas, policy)
+    per_transition = np.split(deltas, np.cumsum(own_sizes)[:-1])
     cri = _critic_pass(transitions, np.array([d.sum() for d in per_transition]), critic)
     return pol, cri
 
 
+def _returns_to_go(ids: np.ndarray, t: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """G = r + gamma * G' per row of agent ``ids`` at ascending steps ``t``, G' the
+    agent's row one step later or 0; added last step first, as in :func:`returns_to_go`."""
+    g, acc = np.empty(len(ids)), np.zeros(int(ids.max()) + 1)
+    for step in range(int(t[-1]), -1, -1):
+        k = np.flatnonzero(t == step)
+        g[k] = acc[ids[k]] = rewards[k] + gamma * acc[ids[k]]
+    return g
+
+
 def graph_pg_episode_grads(
-    transitions: Sequence[Transition],
+    transitions: Transitions,
     nets: TeamNets,
     tcfg: TrainerConfig,
 ) -> Params:
     """Policy gradient with the centre's return-to-go as the coefficient."""
-    if not transitions:
+    n = len(transitions)
+    if not n:
         return zeros_like_params(nets.policy)
-    by_centre: dict[int, list[Transition]] = {}
-    for tr in transitions:
-        by_centre.setdefault(tr.centre, []).append(tr)
-    g_of: dict[tuple[int, int], float] = {}
-    for centre, trs in by_centre.items():
-        trs.sort(key=lambda tr: tr.t)
-        g = returns_to_go(np.array([tr.step.reward for tr in trs]), tcfg.gamma)
-        for tr, gt in zip(trs, g):
-            g_of[(tr.t, centre)] = float(gt)
-    coeffs = np.repeat(
-        [g_of[(tr.t, tr.centre)] for tr in transitions],
-        [tr.step.sg.n_members() for tr in transitions],
-    )
-    return _policy_pass(transitions, coeffs, nets.policy)
+    dec = transitions.dec
+    g = _returns_to_go(dec.centres[:n], transitions.t[:n], transitions.reward, tcfg.gamma)
+    return _policy_pass(transitions, np.repeat(g, dec.sizes()[:n]), nets.policy)
 
 
 def vanilla_episode_grads(
@@ -673,18 +659,11 @@ def vanilla_episode_grads(
     grads = zeros_like_params(nets.policy)
     if not flats:
         return grads
-    rewards_of: dict[int, list[float]] = {}
-    for fs in flats:
-        for aid, r in zip(fs.ids, fs.rewards):
-            rewards_of.setdefault(int(aid), []).append(float(r))
-    g_iters = {
-        aid: iter(returns_to_go(np.array(rs), tcfg.gamma)) for aid, rs in rewards_of.items()
-    }
+    ids = np.concatenate([fs.ids for fs in flats])
+    t = np.repeat(np.arange(len(flats)), [len(fs.ids) for fs in flats])
+    coeff = _returns_to_go(ids, t, np.concatenate([fs.rewards for fs in flats]), tcfg.gamma)
     feats = np.concatenate([fs.feats for fs in flats], axis=0)
     sampled = np.concatenate([fs.sampled for fs in flats])
-    coeff = np.concatenate(
-        [[float(next(g_iters[int(aid)])) for aid in fs.ids] for fs in flats]
-    )
     logp, trace = mlp_logprobs(feats, nets.policy, record=True)
     seed = np.zeros_like(logp)
     seed[np.arange(len(sampled)), sampled] = coeff
@@ -765,37 +744,39 @@ class Trainer:
         # per-step mode: a step's transitions update the networks once the
         # next step is sampled (values need its joint); the last has none
         prev: Optional[StepData] = None
-        t = -1
 
         def update_prev(sd: StepData) -> None:
-            nonlocal prev, t
+            nonlocal prev
             if prev is not None:
-                self._apply_step_updates(prev, sd, t)
-            prev, t = sd, t + 1
+                self._apply_step_updates(prev, sd)
+            prev = sd
 
         res = rollout_graph(
             world, self.nets, self.tcfg, self.ncfg, rng, collect=False, on_step=update_prev
         )
         if prev is not None:
-            self._apply_step_updates(prev, None, t)
+            self._apply_step_updates(prev, None)
         return res
 
-    def _apply_step_updates(self, sd: StepData, nxt: Optional[StepData], t: int) -> None:
+    def _apply_step_updates(self, sd: StepData, nxt: Optional[StepData]) -> None:
         for team in self.teams:
-            transitions = [
-                Transition(step=ss, next=nxt.per_centre.get(c) if nxt else None, t=t)
-                for c, ss in sd.per_centre.items()
-                if self.team[c] == team
-            ]
+            # all alive at t + 1 were alive at t: step t + 1 holds just the successors
+            transitions = team_transitions([sd] if nxt is None else [sd, nxt], self.team, team)
+            n = int(np.count_nonzero(transitions.t == 0))
+            transitions.reward, transitions.succ = transitions.reward[:n], transitions.succ[:n]
             if not transitions:
                 continue
             nets = self.nets[team]
             pol, cri = ac_episode_grads(transitions, nets, self.tcfg, fresh_probs=True)
             scale_(pol, -1.0)
             scale_(cri, -1.0)
-            adam_step(nets.policy, pol, nets.adam_policy)
+            self._adam_step(team, "policy", nets.policy, pol, nets.adam_policy)
             assert nets.critic is not None and nets.adam_critic is not None
-            adam_step(nets.critic, cri, nets.adam_critic)
+            self._adam_step(team, "critic", nets.critic, cri, nets.adam_critic)
+
+    def _adam_step(self, team: int, net: str, params: Params, grads: Params, st: AdamState) -> None:
+        check_finite(grads, f"team {team} {net} gradient at batch {self.batch_index}")
+        adam_step(params, grads, st)
 
     def train_batch(self) -> list[BatchMetrics]:
         t0 = time.perf_counter()
@@ -852,12 +833,13 @@ class Trainer:
                     add_scaled_(acc_c, cri)
                 else:
                     add_scaled_(acc_p, graph_pg_episode_grads(transitions, nets, self.tcfg))
+                del transitions  # built just before its gradients, dropped after them
             scale_(acc_p, inv)
-            adam_step(nets.policy, acc_p, nets.adam_policy)
+            self._adam_step(team, "policy", nets.policy, acc_p, nets.adam_policy)
             if acc_c is not None:
                 scale_(acc_c, inv)
-                assert nets.adam_critic is not None
-                adam_step(nets.critic, acc_c, nets.adam_critic)
+                assert nets.critic is not None and nets.adam_critic is not None
+                self._adam_step(team, "critic", nets.critic, acc_c, nets.adam_critic)
 
     def train(
         self,

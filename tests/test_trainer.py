@@ -1,13 +1,16 @@
 """Rollouts, episode gradients, the batch trainer, evaluation."""
 
 import copy
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from gridmarl import ConfigError, Scenario, ScenarioConfig, new_scenario
-from gridmarl.graph import build_graph, decompose
+from gridmarl import ConfigError, NonFiniteError, Scenario, ScenarioConfig, new_scenario
+from gridmarl.graph import Decomposition, SubGraph, build_graph, decompose
 from gridmarl.gridworld import GridWorld, Position
+from gridmarl.harness.state import save_state
 from gridmarl.nn import (
     add_scaled_,
     adam_step,
@@ -33,10 +36,10 @@ from gridmarl.rl import (
     rollout_flat,
     rollout_graph,
 )
+from gridmarl.nn import network
 from gridmarl.rl import trainer
 from gridmarl.rl.core import ensemble_action
 from gridmarl.rl.trainer import (
-    Transition,
     _graph_step,
     ac_episode_grads,
     chunked_critic_values,
@@ -78,6 +81,52 @@ def graph_episode(scenario_cfg, tcfg, ncfg, nets, seed=0):
     return world, rollout_graph(world, nets, tcfg, ncfg, rng, collect=True)
 
 
+@dataclass
+class Rec:
+    """One transition of an array record, rebuilt for the reference loops."""
+
+    sg: SubGraph
+    executed: np.ndarray
+    sampled: np.ndarray
+    reward: float
+    next: Optional["Rec"]
+    t: int
+    centre: int
+
+    @property
+    def step(self):  # the reference loops read tr.step.sg, tr.next.sg, ...
+        return self
+
+
+def rebuild(transitions):
+    """The record's transitions as ``Rec`` objects, sub-graphs through ``dec[i]``."""
+    dec = transitions.dec
+    recs = []
+    for i in range(len(dec)):
+        rows = slice(dec.offsets[i], dec.offsets[i + 1])
+        reward = float(transitions.reward[i]) if i < len(transitions) else 0.0
+        recs.append(
+            Rec(dec[i], transitions.executed[rows], transitions.sampled[rows], reward, None,
+                int(transitions.t[i]), int(dec.centres[i]))
+        )
+    for rec, k in zip(recs, transitions.succ.tolist()):
+        rec.next = recs[k] if k >= 0 else None
+    return recs[: len(transitions)]
+
+
+def step_transitions(sd, nxt, team_of, team):
+    """Per-step mode's record: the step's transitions, then their successors."""
+    transitions = team_transitions([sd] if nxt is None else [sd, nxt], team_of, team)
+    n = int(np.count_nonzero(transitions.t == 0))
+    transitions.reward, transitions.succ = transitions.reward[:n], transitions.succ[:n]
+    return transitions
+
+
+def crowded_jungle():
+    """A Jungle world whose agents die of crowding before its last step."""
+    return jungle_cfg(width=6, height=6, agents=12, foods=1, episode_limit=8)
+
+
 class TestRollout:
     def test_records_are_consistent(self):
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=1)
@@ -86,16 +135,29 @@ class TestRollout:
         world, res = graph_episode(battle_cfg(), tcfg, ncfg, nets)
         assert world.finished
         assert res.stats.steps == len(res.steps)
-        for sd in res.steps:
-            for centre, ss in sd.per_centre.items():
-                assert ss.sg.centre == centre
-                m = ss.sg.n_members()
-                assert ss.probs.shape == (m, 5)
-                np.testing.assert_allclose(ss.probs.sum(axis=1), 1.0, atol=1e-12)
-                assert ss.sampled.shape == (m,) and ss.executed.shape == (m,)
-                assert np.all((ss.sampled >= 0) & (ss.sampled < 5))
-                assert np.all((ss.executed >= 0) & (ss.executed < 5))
-                assert ss.reward == sd.outcome.rewards[centre]
+        for team in (0, 1):
+            trs = team_transitions(res.steps, world.team, team)
+            dec = trs.dec
+            m = int(dec.sizes().sum())
+            assert len(trs) == len(dec) == len(trs.t) == len(trs.succ)
+            assert trs.probs.shape == (m, 5) and trs.sampled.shape == trs.executed.shape == (m,)
+            np.testing.assert_allclose(trs.probs.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all((trs.sampled >= 0) & (trs.sampled < 5))
+            assert np.all((trs.executed >= 0) & (trs.executed < 5))
+            assert np.all(world.team[dec.centres] == team)
+            for t, sd in enumerate(res.steps):
+                # the step's sub-graphs of this team, as the step decomposed them
+                mine = sd.acting[world.team[sd.dec.centres[sd.acting]] == team]
+                here = np.flatnonzero(trs.t == t)
+                assert np.array_equal(dec.centres[here], sd.dec.centres[mine])
+                rows = dec.rows(here)
+                assert np.array_equal(dec.members[rows], sd.dec.members[sd.dec.rows(mine)])
+                assert np.array_equal(dec.features[rows], sd.dec.features[sd.dec.rows(mine)])
+                assert np.array_equal(trs.probs[rows], sd.probs[sd.dec.rows(mine)])
+                assert np.array_equal(trs.sampled[rows], sd.drawn[dec.members[rows]])
+                assert np.array_equal(trs.executed[rows], sd.executed[dec.members[rows]])
+                want = [sd.outcome.rewards[c] for c in dec.centres[here].tolist()]
+                assert trs.reward[here].tolist() == want
 
     def test_returns_accumulate_rewards(self):
         tcfg = TrainerConfig(algorithm="graph-pg", depth=2, batch_episodes=1)
@@ -172,29 +234,28 @@ class TestRollout:
 
 class TestTransitions:
     def test_successor_linkage(self):
+        # a Battle world where every agent lives to the end, and a crowded
+        # Jungle world where agents die of crowding before the last step
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg)
-        world, res = graph_episode(battle_cfg(episode_limit=5), tcfg, ncfg, nets, seed=7)
-        team_of = {a.id: a.team for a in world.agents}
-        for team in (0, 1):
-            trs = team_transitions(res.steps, team_of, team)
-            assert all(team_of[tr.centre] == team for tr in trs)
-            by_key = {(tr.t, tr.centre): tr for tr in trs}
-            for tr in trs:
-                if tr.t + 1 < len(res.steps):
-                    nxt = res.steps[tr.t + 1].per_centre.get(tr.centre)
-                    assert tr.next is nxt  # same object, or both None
-                else:
-                    assert tr.next is None
-            # one transition per (step, living centre) of the team
-            want = sum(
-                1
-                for sd in res.steps
-                for c in sd.per_centre
-                if team_of[c] == team
-            )
-            assert len(by_key) == len(trs) == want
+        for cfg, seed, dies in ((battle_cfg(episode_limit=5), 7, False), (crowded_jungle(), 5, True)):
+            world, res = graph_episode(cfg, tcfg, ncfg, nets, seed=seed)
+            last = len(res.steps) - 1
+            early_ends = 0
+            for team in np.unique(world.team).tolist():
+                trs = team_transitions(res.steps, world.team, team)
+                # one transition per (step, living centre) of the team
+                want = sum(int((world.team[sd.dec.centres[sd.acting]] == team).sum()) for sd in res.steps)
+                assert len(trs) == want
+                for i, k in enumerate(trs.succ.tolist()):
+                    centre, t = trs.dec.centres[i], trs.t[i]
+                    if k >= 0:  # the same centre one step later
+                        assert trs.dec.centres[k] == centre and trs.t[k] == t + 1
+                    else:  # the episode ended, or the agent died during step t
+                        assert t == last or centre not in res.steps[t + 1].dec.centres
+                        early_ends += int(t < last)
+            assert (early_ends > 0) == dies
 
 
 class TestSweeps:
@@ -202,14 +263,10 @@ class TestSweeps:
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg, seed=seed)
-        _, res = graph_episode(battle_cfg(), tcfg, ncfg, nets, seed=seed)
+        world, res = graph_episode(battle_cfg(), tcfg, ncfg, nets, seed=seed)
         trs = []
-        team_of_map = {}
-        world = new_scenario(battle_cfg(), seed)
-        for a in world.agents:
-            team_of_map[a.id] = a.team
         for team in (0, 1):
-            trs += team_transitions(res.steps, team_of_map, team)
+            trs += rebuild(team_transitions(res.steps, world.team, team))
         return nets, trs
 
     def test_sweep_matches_single_forwards(self):
@@ -286,8 +343,7 @@ class TestSweeps:
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg, seed=6)
         world, res = graph_episode(battle_cfg(agents=8, episode_limit=4), tcfg, ncfg, nets, seed=6)
-        team_of = {a.id: a.team for a in world.agents}
-        entries = [(tr.step.sg, tr.step.executed) for tr in team_transitions(res.steps, team_of, 0)]
+        entries = [(tr.step.sg, tr.step.executed) for tr in rebuild(team_transitions(res.steps, world.team, 0))]
         critic = nets[0].critic
         rows, edges = deviation_sizes(
             batch_subgraphs([sg for sg, _ in entries]), len(critic.rounds)
@@ -314,6 +370,33 @@ class TestSweeps:
                 assert r.sum() <= row_budget and e.sum() <= edge_budget
             for a, b in zip(split, whole):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+    def test_sweep_computes_its_regions_once(self, monkeypatch):
+        # a sweep split into chunks hands each chunk its share of the regions
+        # that sized the chunks, instead of computing them again
+        nets, trs = self.build(seed=1)
+        entries = [(tr.step.sg, tr.step.executed) for tr in trs]
+        computed = []
+        plain = network._regions
+
+        def counting(batch, rounds):
+            computed.append(batch.regions is None)
+            return plain(batch, rounds)
+
+        monkeypatch.setattr(network, "_regions", counting)
+        monkeypatch.setattr(trainer, "ROW_BUDGET", 8)
+        chunks = []
+        deviations = trainer.critic_deviations
+
+        def chunk(batch, params):
+            chunks.append(batch.n_graphs)
+            return deviations(batch, params)
+
+        monkeypatch.setattr(trainer, "critic_deviations", chunk)
+        sweep_values(entries, nets[0].critic)
+        assert len(chunks) > 1
+        assert sum(computed) == 1
 
 
 def naive_ac_grads(transitions, nets, tcfg):
@@ -361,15 +444,14 @@ class TestEpisodeGrads:
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg, seed=seed)
         world, res = graph_episode(battle_cfg(), tcfg, ncfg, nets, seed=seed)
-        team_of = {a.id: a.team for a in world.agents}
-        return tcfg, nets, res, team_of
+        return tcfg, nets, res, world.team
 
     def test_ac_matches_naive(self):
         tcfg, nets, res, team_of = self.setup_ac()
         for team in (0, 1):
             trs = team_transitions(res.steps, team_of, team)
             pol, cri = ac_episode_grads(trs, nets[team], tcfg)
-            want_p, want_c = naive_ac_grads(trs, nets[team], tcfg)
+            want_p, want_c = naive_ac_grads(rebuild(trs), nets[team], tcfg)
             params_allclose(pol, want_p)
             params_allclose(cri, want_c)
 
@@ -378,15 +460,11 @@ class TestEpisodeGrads:
         # step (none of them a step of the call), distributions recomputed
         tcfg, nets, res, team_of = self.setup_ac(seed=1)
         for t, sd in enumerate(res.steps):
-            nxt = res.steps[t + 1].per_centre if t + 1 < len(res.steps) else {}
+            nxt = res.steps[t + 1] if t + 1 < len(res.steps) else None
             for team in (0, 1):
-                trs = [
-                    Transition(step=ss, next=nxt.get(c), t=t)
-                    for c, ss in sd.per_centre.items()
-                    if team_of[c] == team
-                ]
+                trs = step_transitions(sd, nxt, team_of, team)
                 pol, cri = ac_episode_grads(trs, nets[team], tcfg, fresh_probs=True)
-                want_p, want_c = naive_ac_grads(trs, nets[team], tcfg)
+                want_p, want_c = naive_ac_grads(rebuild(trs), nets[team], tcfg)
                 params_allclose(pol, want_p)
                 params_allclose(cri, want_c)
 
@@ -396,7 +474,7 @@ class TestEpisodeGrads:
         # other pass is the recorded one over the same rows
         tcfg, nets, res, team_of = self.setup_ac(seed=2)
         trs = team_transitions(res.steps, team_of, 0)
-        assert any(tr.next is not None for tr in trs)
+        assert (trs.succ >= 0).any()
         swept, valued = [], []
         sweep_plain, values_plain = trainer.critic_deviations, trainer.critic_values
 
@@ -411,7 +489,7 @@ class TestEpisodeGrads:
         monkeypatch.setattr(trainer, "critic_deviations", sweeping)
         monkeypatch.setattr(trainer, "critic_values", valuing)
         ac_episode_grads(trs, nets[0], tcfg)
-        m = np.array([tr.step.sg.n_members() for tr in trs])
+        m = trs.dec.sizes()
         assert sum(swept) == int(m.sum())
         assert sum(valued) == int(m.sum())
 
@@ -426,19 +504,24 @@ class TestEpisodeGrads:
         params_allclose(a_c, b_c)
 
     def test_ac_empty_transitions(self):
-        tcfg = TrainerConfig(algorithm="graph-ac")
+        # a Jungle world has no team 1, so its record for team 1 is empty
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=1)
         nets = make_nets(tcfg, tiny_net_cfg())
-        pol, cri = ac_episode_grads([], nets[0], tcfg)
+        world, res = graph_episode(jungle_cfg(), tcfg, tiny_net_cfg(), nets)
+        trs = team_transitions(res.steps, world.team, 1)
+        assert len(trs) == 0
+        pol, cri = ac_episode_grads(trs, nets[1], tcfg)
         assert max_abs(pol) == 0.0 and max_abs(cri) == 0.0
+        assert max_abs(graph_pg_episode_grads(trs, nets[1], tcfg)) == 0.0
 
     def test_graph_pg_matches_naive(self):
         tcfg = TrainerConfig(algorithm="graph-pg", depth=2, gamma=0.95)
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg, seed=5)
         world, res = graph_episode(jungle_cfg(), tcfg, ncfg, nets, seed=5)
-        team_of = {a.id: a.team for a in world.agents}
-        trs = team_transitions(res.steps, team_of, 0)
-        got = graph_pg_episode_grads(trs, nets[0], tcfg)
+        record = team_transitions(res.steps, world.team, 0)
+        got = graph_pg_episode_grads(record, nets[0], tcfg)
+        trs = rebuild(record)
 
         # naive: per centre, G_t from its reward stream; every member row of
         # the sub-graph uses the centre's return-to-go on the member's draw
@@ -541,10 +624,11 @@ class TestExactEnumeration:
             res = rollout_graph(
                 corner_world(food), nets, tcfg, ncfg, _FixedDraw(u), collect=True
             )
-            trs = team_transitions(res.steps, {0: 0}, 0)
+            record = team_transitions(res.steps, np.array([0]), 0)
+            trs = rebuild(record)
             assert [int(tr.step.sampled[0]) for tr in trs] == [a]
             rewards[a] = trs[0].step.reward
-            add_scaled_(expected, graph_pg_episode_grads(trs, nets[0], tcfg), probs[a])
+            add_scaled_(expected, graph_pg_episode_grads(record, nets[0], tcfg), probs[a])
         return policy, sg, rewards, expected
 
     def test_action_independent_reward_gives_zero_update(self):
@@ -625,11 +709,7 @@ class TestTrainer:
 
         def update(sd, nxt, t):
             for team in replay.teams:
-                trs = [
-                    Transition(step=ss, next=nxt.per_centre.get(c) if nxt else None, t=t)
-                    for c, ss in sd.per_centre.items()
-                    if team_of[c] == team
-                ]
+                trs = step_transitions(sd, nxt, team_of, team)
                 if not trs:
                     continue
                 nets = replay.nets[team]
@@ -660,8 +740,8 @@ class TestTrainer:
                 alive[t].append(world.num_alive(t))
             wins[0].append(float(world.num_alive(0) > world.num_alive(1)))
             wins[1].append(float(world.num_alive(1) > world.num_alive(0)))
-            counts.append(sum(len(sd.per_centre) for sd in steps))
-            sizes.append(sum(ss.sg.n_members() for sd in steps for ss in sd.per_centre.values()))
+            counts.append(sum(len(sd.acting) for sd in steps))
+            sizes.append(sum(int(sd.dec.sizes()[sd.acting].sum()) for sd in steps))
 
         for team in replay.teams:
             params_allclose(tr.nets[team].policy, replay.nets[team].policy, atol=0)
@@ -673,6 +753,60 @@ class TestTrainer:
             assert row.mean_alive == np.mean(alive[row.team])
             assert row.subgraph_count == np.mean(counts)
             assert row.mean_subgraph_size == pytest.approx(sum(sizes) / sum(counts), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "algorithm, per_step", [("graph-ac", False), ("graph-ac", True), ("graph-pg", False)]
+    )
+    def test_training_builds_no_subgraph_view(self, monkeypatch, algorithm, per_step):
+        # training reads the decomposition's arrays; no sub-graph is built alone
+        def refuse(dec, i):
+            raise AssertionError("training built a SubGraph view")
+
+        monkeypatch.setattr(Decomposition, "__getitem__", refuse)
+        tcfg = TrainerConfig(
+            algorithm=algorithm, depth=2, batch_episodes=2, per_step_updates=per_step
+        )
+        tr = Trainer(battle_cfg(agents=4), tcfg, tiny_net_cfg(), seed=3)
+        tr.train_batch()
+        assert tr.nets[0].policy.version > 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "algorithm, per_step", [("graph-ac", False), ("graph-ac", True), ("vanilla-pg", False)]
+    )
+    def test_non_finite_gradient_fails_loudly(self, algorithm, per_step):
+        def inf_reward_world(batch, ep):
+            world = new_scenario(jungle_cfg(), ep)
+            plain = world.step
+
+            def step(joint, rng=None):
+                out = plain(joint, rng)
+                out.rewards[min(out.rewards)] = np.inf
+                return out
+
+            world.step = step
+            return world
+
+        tcfg = TrainerConfig(
+            algorithm=algorithm, depth=1, batch_episodes=2, per_step_updates=per_step
+        )
+        tr = Trainer(jungle_cfg(), tcfg, tiny_net_cfg(), seed=4, world_factory=inf_reward_world)
+        before = copy.deepcopy(tr.nets[0].policy)
+        with pytest.raises(NonFiniteError, match=r"team 0 (policy|critic) gradient at batch 0, layer \S+"):
+            tr.train_batch()
+        params_allclose(tr.nets[0].policy, before, atol=0)  # no step took the bad gradient
+
+    def test_non_finite_parameters_are_not_saved(self, tmp_path):
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=1)
+        ncfg = tiny_net_cfg()
+        nets = make_nets(tcfg, ncfg)
+        nets[1].critic.rounds[0].z_rel.b[2] = np.nan
+        path = tmp_path / "state.npz"
+        with pytest.raises(
+            NonFiniteError, match=r"team 1 critic parameters, saving after 7 batches, layer rounds.0.z_rel"
+        ):
+            save_state(str(path), battle_cfg(), tcfg, ncfg, nets, batch_index=7)
+        assert not path.exists()
 
     def test_metrics_rows(self):
         tcfg = TrainerConfig(algorithm="graph-pg", depth=1, batch_episodes=2)
