@@ -116,9 +116,9 @@ def _scenario_from(data: Mapping[str, Any]) -> ScenarioConfig:
 
 def _dataclass_from(block: str, data: Mapping[str, Any], cls: type) -> Any:
     """The block's keys are the dataclass's fields, each with a typed default."""
-    known = dataclasses.fields(cls)
-    _check_keys(block, data, {f.name for f in known})
-    return cls(**{f.name: _coerce(block, f.name, data[f.name], type(f.default)) for f in known if f.name in data})
+    known = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    _check_keys(block, data, set(known))
+    return cls(**{k: _coerce(block, k, data[k], kind) for k, kind in known.items() if k in data})
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> RunConfig:

@@ -49,8 +49,8 @@ class GraphBatch:
 
     def sizes(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex rows and edges of each sub-graph: (g,) each."""
-        of = self.graph_of
-        return np.bincount(of, minlength=self.n_graphs), np.bincount(of[self.edge_src], minlength=self.n_graphs)
+        of, g = self.graph_of, self.n_graphs
+        return np.bincount(of, minlength=g), np.bincount(of[self.edge_src], minlength=g)
 
     def graphs(self, part: slice) -> GraphBatch:
         """The sub-graphs ``part`` (a plain ascending slice) as a batch of their own."""
