@@ -372,31 +372,43 @@ class TestSweeps:
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
-    def test_sweep_computes_its_regions_once(self, monkeypatch):
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_sweep_computes_its_regions_once(self, monkeypatch, rounds):
         # a sweep split into chunks hands each chunk its share of the regions
-        # that sized the chunks, instead of computing them again
-        nets, trs = self.build(seed=1)
-        entries = [(tr.step.sg, tr.step.executed) for tr in trs]
-        computed = []
-        plain = network._regions
+        # that sized the chunks, and gets the values one chunk gets
+        rng = np.random.default_rng(rounds)
+        world = new_scenario(jungle_cfg(agents=10), 3)
+        for a in world.agents:
+            if rng.random() < 0.3:
+                a.pos = world.agents[int(rng.integers(len(world.agents)))].pos
+        critic = new_team_nets(
+            TrainerConfig(algorithm="graph-ac"), NetConfig(hidden=6, rounds=rounds), rng
+        ).critic
+        for _, layer in critic.layers():
+            layer.b += rng.normal(scale=0.3, size=layer.b.shape)
+        dec = decompose(build_graph(world), depth=3)
+        entries = trainer.Entries(dec, rng.integers(5, size=len(dec.members)))
+        whole = sweep_values(entries, critic)
+
+        computed, chunks = [], []
+        regions, deviations = network._regions, trainer.critic_deviations
 
         def counting(batch, rounds):
             computed.append(batch.regions is None)
-            return plain(batch, rounds)
-
-        monkeypatch.setattr(network, "_regions", counting)
-        monkeypatch.setattr(trainer, "ROW_BUDGET", 8)
-        chunks = []
-        deviations = trainer.critic_deviations
+            return regions(batch, rounds)
 
         def chunk(batch, params):
             chunks.append(batch.n_graphs)
             return deviations(batch, params)
 
+        monkeypatch.setattr(network, "_regions", counting)
         monkeypatch.setattr(trainer, "critic_deviations", chunk)
-        sweep_values(entries, nets[0].critic)
+        monkeypatch.setattr(trainer, "ROW_BUDGET", 8)
+        split = sweep_values(entries, critic)
         assert len(chunks) > 1
         assert sum(computed) == 1
+        for a, b in zip(split, whole):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def naive_ac_grads(transitions, nets, tcfg):
