@@ -20,14 +20,15 @@ each sub-graph starts. The edges are concatenated the same way, with
 ``edge_offsets``: endpoints as member slots local to their sub-graph, then
 lengths and radial-basis rows. Batched forwards read these arrays as they
 are; ``dec[i]`` gives sub-graph i as a :class:`SubGraph` view for code that
-handles one sub-graph at a time. All centres are searched at once, level by
-level, over the graph's adjacency in compressed sparse rows.
+handles one sub-graph at a time. The chosen centres are searched at once,
+level by level, over the graph's adjacency in compressed sparse rows; a
+rollout decomposes each acting team's centres on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -267,28 +268,6 @@ class Decomposition:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """Member rows of the sub-graphs ``index``, in that order."""
-        return _segment_arange(self.offsets[index], self.sizes()[index])
-
-    def take(self, index: np.ndarray) -> Decomposition:
-        """The sub-graphs ``index``, in that order, as a decomposition of their own."""
-        rows = self.rows(index)
-        n_edges = np.diff(self.edge_offsets)[index]
-        edges = _segment_arange(self.edge_offsets[index], n_edges)
-        return Decomposition(
-            centres=self.centres[index],
-            members=self.members[rows],
-            features=self.features[rows],
-            offsets=_offsets(self.sizes()[index]),
-            edge_src=self.edge_src[edges],
-            edge_dst=self.edge_dst[edges],
-            edge_dist=self.edge_dist[edges],
-            edge_feat=self.edge_feat[edges],
-            edge_offsets=_offsets(n_edges),
-            depth=self.depth,
-        )
-
     @staticmethod
     def concat(parts: Sequence[Decomposition]) -> Decomposition:
         """The sub-graphs of ``parts``, one part after another, as one decomposition."""
@@ -306,23 +285,27 @@ def decompose(
     depth: int = 3,
     delta_d: float = DEFAULT_DELTA_D,
     n_max: int = DEFAULT_N_MAX,
+    centres: Optional[np.ndarray] = None,
 ) -> Decomposition:
-    """One sub-graph per vertex, in ascending agent-id order.
+    """One sub-graph per centre, in ascending agent-id order.
 
-    All centres search at once. A (centre, vertex) pair is keyed
-    centre * n + vertex; each breadth-first level expands the previous
-    level's pairs over the adjacency rows and keeps the unique keys not
-    reached before, so a level comes out in ascending vertex order per
-    centre. An induced edge is a member's neighbour that is a member of the
-    same sub-graph at a later slot, found by a sorted search of the member
-    keys; it is listed by source slot, then by ascending neighbour, each
-    pair as (k, j) then (j, k).
+    ``centres`` are ascending positions in ``g.ids``, all by default; a
+    centre below is its index among them. All centres search at once. A
+    (centre, vertex) pair is keyed centre * n + vertex; each breadth-first
+    level expands the previous level's pairs over the adjacency rows and
+    keeps the unique keys not reached before, so a level comes out in
+    ascending vertex order per centre. An induced edge is a member's
+    neighbour that is a member of the same sub-graph at a later slot, found
+    by a sorted search of the member keys; it is listed by source slot, then
+    by ascending neighbour, each pair as (k, j) then (j, k).
     """
     if depth < 1:
         raise DomainError(f"depth must be at least 1, got {depth}")
     n = g.n_vertices()
     if n == 0:
         raise EmptyWorld("cannot decompose an empty graph")
+    chosen = np.arange(n) if centres is None else np.asarray(centres, dtype=np.int64)
+    s = len(chosen)
     deg = np.diff(g.indptr)
 
     def expand(centre: np.ndarray, vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +313,7 @@ def decompose(
         k = deg[vertex]
         return np.repeat(centre, k), _segment_arange(g.indptr[vertex], k)
 
-    level = np.arange(n) * n + np.arange(n)  # level 0: each centre alone
+    level = np.arange(s) * n + chosen  # level 0: each centre alone
     levels = [level]
     seen = level  # sorted
     for _ in range(depth):
@@ -348,7 +331,7 @@ def decompose(
     keys = np.concatenate(levels)
     keys = keys[np.argsort(keys // n, kind="stable")]  # by centre, then level
     centre, vertex = keys // n, keys % n
-    offsets = _offsets(np.bincount(centre, minlength=n))
+    offsets = _offsets(np.bincount(centre, minlength=s))
     slot = np.arange(len(keys)) - offsets[centre]
 
     row_of, adj = expand(np.arange(len(keys)), vertex)
@@ -362,7 +345,7 @@ def decompose(
     # a row depends on its length alone, and a grid has few distinct lengths
     lengths, length_of = np.unique(edge_dist, return_inverse=True)
     return Decomposition(
-        centres=g.ids,
+        centres=g.ids[chosen],
         members=g.ids[vertex],
         features=g.features[vertex],
         offsets=offsets,
@@ -370,6 +353,6 @@ def decompose(
         edge_dst=np.stack([j, k], axis=1).ravel(),
         edge_dist=edge_dist,
         edge_feat=_rbe_rows(lengths, delta_d, n_max)[length_of],
-        edge_offsets=_offsets(2 * np.bincount(centre[row_of[keep]], minlength=n)),
+        edge_offsets=_offsets(2 * np.bincount(centre[row_of[keep]], minlength=s)),
         depth=depth,
     )

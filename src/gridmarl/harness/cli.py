@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import GridmarlError
+from ..errors import ConfigError, GridmarlError
 from ..graph import build_graph, decompose
 from ..gridworld import new_scenario, validate_scenario
 from ..rl.trainer import BatchMetrics, Trainer, evaluate, play_step
@@ -237,6 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("seed", "episodes"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ConfigError(f"--{flag} must be non-negative, got {value}")
         return args.func(args)
     except GridmarlError as e:
         print(f"error: {e}", file=sys.stderr)

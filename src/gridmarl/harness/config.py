@@ -41,6 +41,8 @@ class RunBlock:
     timing: bool = True      # False writes 0.0 seconds for byte-stable CSVs
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be non-negative, got {self.seed}")
         if self.batches < 0:
             raise ConfigError("run.batches must be non-negative")
         if self.metrics_every < 1:

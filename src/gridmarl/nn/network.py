@@ -112,7 +112,8 @@ class _NumpyOps:
 
     ``relu``, ``add`` and ``mul`` write into their last argument, which the
     trunk only ever passes freshly computed and never reads again; this saves
-    an allocation per op on the large sweep batches.
+    an allocation per op on the rollout's policy batches, the largest plain
+    forwards (the sweep keeps its trunk's values, through :class:`_KeepOps`).
     """
 
     def layer(self, path: str, p: LayerParams):

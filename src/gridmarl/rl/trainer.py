@@ -168,15 +168,13 @@ def new_team_nets(tcfg: TrainerConfig, ncfg: NetConfig, rng: np.random.Generator
 class StepData:
     """One tick of a graph rollout, kept as arrays.
 
-    ``acting`` indexes the sub-graphs whose centre's team sampled them from
-    its policy; ``probs`` holds their member rows (the rows of other
-    sub-graphs are unset). ``drawn`` and ``executed`` are indexed by agent
-    id.
+    ``parts`` maps each team that sampled from its policy to the sub-graphs
+    centred on its living agents, centres ascending, and their member
+    distributions (rows of that decomposition). ``drawn`` and ``executed``
+    are indexed by agent id.
     """
 
-    dec: Decomposition
-    acting: np.ndarray    # (s',) sub-graph indices, ascending
-    probs: np.ndarray     # (M, 5) member distributions, rows of dec
+    parts: dict[int, tuple[Decomposition, np.ndarray]]
     drawn: np.ndarray     # ensemble draw per agent id, before coercion
     executed: np.ndarray  # post-coercion action per agent id
     outcome: StepOutcome
@@ -261,25 +259,28 @@ def _graph_step(
 ) -> StepData:
     """Sample, ensemble, coerce, and advance the world by one tick."""
     team_of = world.team
-    dec = decompose(build_graph(world), tcfg.depth, ncfg.delta_d, ncfg.n_max)
-    centre_team = team_of[dec.centres]
-    acting = np.flatnonzero(~np.isin(centre_team, list(random_teams)))
-
-    probs = np.empty((len(dec.members), N_ACTIONS))
-    for team in sorted(set(centre_team[acting].tolist())):
-        mine = acting[centre_team[acting] == team]
-        logp, _ = policy_logprobs(batch_subgraphs(dec.take(mine)), nets[team].policy)
+    g = build_graph(world)
+    centre_team = team_of[g.ids]
+    parts = {}
+    # an agent ensembles its rows of its own team's sub-graphs, grouped by
+    # agent in ascending centre order
+    who, dists = [np.empty(0, dtype=np.int64)], [np.empty((0, N_ACTIONS))]
+    for team in np.unique(centre_team).tolist():
+        if team in random_teams:
+            continue
+        dec = decompose(
+            g, tcfg.depth, ncfg.delta_d, ncfg.n_max, centres=np.flatnonzero(centre_team == team)
+        )
+        logp, _ = policy_logprobs(batch_subgraphs(dec), nets[team].policy)
         p = np.exp(logp)
         p /= p.sum(axis=1, keepdims=True)
-        probs[dec.rows(mine)] = p
-
-    # an agent ensembles its rows of the sub-graphs its own team sampled,
-    # grouped by agent in ascending centre order
-    own = dec.rows(acting)
-    own = own[team_of[dec.members[own]] == np.repeat(centre_team, dec.sizes())[own]]
-    own = own[np.argsort(dec.members[own], kind="stable")]
-    grouped = probs[own]
-    count = np.bincount(dec.members[own], minlength=len(team_of))
+        parts[team] = (dec, p)
+        own = team_of[dec.members] == team
+        who.append(dec.members[own])
+        dists.append(p[own])
+    members = np.concatenate(who)
+    grouped = np.concatenate(dists)[np.argsort(members, kind="stable")]
+    count = np.bincount(members, minlength=len(team_of))
     first = np.cumsum(count) - count
 
     # per agent id; every sub-graph member is a living agent and gets both
@@ -295,7 +296,7 @@ def _graph_step(
     executed[ids] = world.coerce(ids, drawn[ids])
 
     outcome = world.step(dict(zip(ids.tolist(), executed[ids].tolist())))
-    return StepData(dec=dec, acting=acting, probs=probs, drawn=drawn, executed=executed, outcome=outcome)
+    return StepData(parts=parts, drawn=drawn, executed=executed, outcome=outcome)
 
 
 def rollout_graph(
@@ -322,8 +323,8 @@ def rollout_graph(
     while not world.finished:
         sd = _graph_step(world, nets, tcfg, ncfg, rng, mode, random_teams)
         n_steps += 1
-        n_sub += len(sd.acting)
-        size_sum += int(sd.dec.sizes()[sd.acting].sum())
+        n_sub += sum(len(dec) for dec, _ in sd.parts.values())
+        size_sum += sum(int(dec.offsets[-1]) for dec, _ in sd.parts.values())
         rewards = sd.outcome.rewards
         agent_returns[list(rewards)] += list(rewards.values())
         if collect:
@@ -417,17 +418,25 @@ def play_step(
 
 
 def team_transitions(steps: Sequence[StepData], team_of: np.ndarray, team: int) -> Transitions:
-    """One team's transitions over ``steps``; ``team_of`` gives each agent id's team."""
-    parts, probs, sampled, executed, reward = [], [], [], [], []
-    for sd in steps:
-        mine = sd.acting[team_of[sd.dec.centres[sd.acting]] == team]
-        parts.append(part := sd.dec.take(mine))
-        probs.append(sd.probs[sd.dec.rows(mine)])
-        sampled.append(sd.drawn[part.members])
-        executed.append(sd.executed[part.members])
-        reward += [sd.outcome.rewards[c] for c in part.centres.tolist()]
+    """The parts ``team`` kept over ``steps``, as one record; ``team_of`` gives each id's team."""
+    parts, t, probs, sampled, executed, reward = [], [], [], [], [], []
+    for step, sd in enumerate(steps):
+        if team in sd.parts:
+            part, p = sd.parts[team]
+            parts.append(part)
+            t.append(np.full(len(part), step))
+            probs.append(p)
+            sampled.append(sd.drawn[part.members])
+            executed.append(sd.executed[part.members])
+            reward += [sd.outcome.rewards[c] for c in part.centres.tolist()]
+    if not parts:  # the team never acted: an empty record
+        ids, reals, start = np.empty(0, dtype=np.int64), np.empty(0), np.zeros(1, dtype=np.int64)
+        dec = Decomposition(
+            ids, ids, np.empty((0, VERTEX_DIM)), start, ids, ids, reals, np.empty((0, 0)), start, 0
+        )
+        return Transitions(dec, ids, np.empty((0, N_ACTIONS)), ids, ids, reals, ids)
     dec = Decomposition.concat(parts)
-    t = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    t = np.concatenate(t)
     # the successor holds key (t + 1, centre); keys ascend, step after step
     keys = t * len(team_of) + dec.centres
     want = keys + len(team_of)

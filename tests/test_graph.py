@@ -339,6 +339,49 @@ class TestDecompose:
                         isolated += int(b.n_members() == 1)
         assert stacked and isolated  # both corner cases were exercised
 
+    def test_chosen_centres_equal_the_full_decomposition_restricted(self):
+        # per field, bit for bit: the sub-graphs of the chosen centres, cut
+        # out of the decomposition of every centre
+        def restricted(dec, index):
+            rows = [np.arange(dec.offsets[i], dec.offsets[i + 1]) for i in index]
+            edges = [np.arange(dec.edge_offsets[i], dec.edge_offsets[i + 1]) for i in index]
+            rows = np.concatenate(rows + [np.empty(0, dtype=np.int64)])
+            edges = np.concatenate(edges + [np.empty(0, dtype=np.int64)])
+            return {
+                "centres": dec.centres[index],
+                "members": dec.members[rows],
+                "features": dec.features[rows],
+                "offsets": np.concatenate([[0], np.cumsum(dec.sizes()[index])]),
+                "edge_src": dec.edge_src[edges],
+                "edge_dst": dec.edge_dst[edges],
+                "edge_dist": dec.edge_dist[edges],
+                "edge_feat": dec.edge_feat[edges],
+                "edge_offsets": np.concatenate([[0], np.cumsum(np.diff(dec.edge_offsets)[index])]),
+            }
+
+        rng = np.random.default_rng(31)
+        tried = 0
+        for scenario in (Scenario.JUNGLE, Scenario.BATTLE):
+            for _ in range(25):
+                w = stacked_world(rng, scenario)
+                g = build_graph(w)
+                n = g.n_vertices()
+                teams = w.team[g.ids]
+                choices = [np.empty(0, dtype=np.int64), np.array([int(rng.integers(n))])]
+                choices += [np.flatnonzero(teams == t) for t in np.unique(teams).tolist()]
+                choices.append(np.flatnonzero(rng.random(n) < 0.5))
+                for k in (1, 2, 3):
+                    full = decompose(g, k, 0.3, 10)
+                    for centres in choices:
+                        got = decompose(g, k, 0.3, 10, centres=centres)
+                        assert got.depth == k and len(got) == len(centres)
+                        for name, want in restricted(full, centres).items():
+                            have = getattr(got, name)
+                            assert have.dtype == want.dtype and have.shape == want.shape, name
+                            assert np.array_equal(have, want), name
+                        tried += 1
+        assert tried >= 2 * 25 * 3 * 4
+
     def test_empty_graph_rejected(self):
         empty = EnvGraph(
             ids=np.empty(0, dtype=np.int64),

@@ -133,6 +133,12 @@ class TestConfig:
         cfg = parse_config(base + "trainer: {gamma: 1}")
         assert cfg.trainer.gamma == 1.0
 
+    def test_negative_seed_rejected(self):
+        base = "scenario: {type: jungle, width: 8, height: 8, agents: 3, foods: 1}\n"
+        with pytest.raises(ConfigError, match="run.seed must be non-negative"):
+            parse_config(base + "run: {seed: -1}")
+        assert parse_config(base + "run: {seed: 0}").run.seed == 0
+
     def test_bad_scenario_type(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             parse_config("scenario: {type: chess, width: 8, height: 8, agents: 2}")
@@ -542,6 +548,13 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_negative_seed_exits_2_without_outputs(self, tmp_path, capsys):
+        cfg, out = self.write_config(tmp_path)
+        assert main(["train", str(cfg), "--set", "run.seed=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: run.seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["train", str(tmp_path / "none.yaml")]) == 2
 
@@ -563,6 +576,17 @@ class TestCli:
         cfg, out = self.trained(tmp_path, capsys)
         assert main(["eval", str(out / "checkpoint.gmrl"), str(cfg), "--episodes", "0"]) == 0
         assert "no episodes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--seed", "-1"), ("--episodes", "-2")]
+    )
+    def test_eval_negative_seed_or_episodes_exits_2(self, tmp_path, capsys, flag, value):
+        cfg, out = self.trained(tmp_path, capsys)
+        ckpt = str(out / "checkpoint.gmrl")
+        assert main(["eval", ckpt, str(cfg), "--episodes", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be non-negative, got {value}\n"
+        assert captured.out == ""
 
     def test_eval_agent_override_and_random_opponent(self, tmp_path, capsys):
         cfg, out = self.trained(tmp_path, capsys)
@@ -597,6 +621,21 @@ class TestCli:
         assert any(p.name.startswith("ep001_") for p in ppms)  # second episode
         # every record carries that step's rewards
         assert all(r["rewards"] for r in records)
+
+    def test_render_negative_episodes_exits_2(self, tmp_path, capsys):
+        cfg, out = self.trained(tmp_path, capsys)
+        frames_dir = tmp_path / "fr"
+        ckpt = str(out / "checkpoint.gmrl")
+        assert main(["render", ckpt, str(cfg), "--episodes", "-1", "--out", str(frames_dir)]) == 2
+        assert capsys.readouterr().err == "error: --episodes must be non-negative, got -1\n"
+        assert not frames_dir.exists()
+
+    def test_decompose_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg, _ = self.write_config(tmp_path)
+        assert main(["decompose", str(cfg), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
+        assert captured.out == ""
 
     def test_decompose_prints_subgraphs(self, tmp_path, capsys):
         cfg, out = self.write_config(tmp_path)

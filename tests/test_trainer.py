@@ -81,6 +81,24 @@ def graph_episode(scenario_cfg, tcfg, ncfg, nets, seed=0):
     return world, rollout_graph(world, nets, tcfg, ncfg, rng, collect=True)
 
 
+def capture_graphs(monkeypatch):
+    """Each interaction graph the rollout builds, in step order."""
+    graphs = []
+
+    def capture(world):
+        graphs.append(build_graph(world))
+        return graphs[-1]
+
+    monkeypatch.setattr(trainer, "build_graph", capture)
+    return graphs
+
+
+def team_subgraphs(g, team_of, team, tcfg, ncfg):
+    """The team's sub-graphs of an independent full decomposition of ``g``."""
+    full = decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max)
+    return [sg for sg in full if team_of[sg.centre] == team]
+
+
 @dataclass
 class Rec:
     """One transition of an array record, rebuilt for the reference loops."""
@@ -128,13 +146,14 @@ def crowded_jungle():
 
 
 class TestRollout:
-    def test_records_are_consistent(self):
+    def test_records_are_consistent(self, monkeypatch):
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=1)
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg)
+        graphs = capture_graphs(monkeypatch)
         world, res = graph_episode(battle_cfg(), tcfg, ncfg, nets)
         assert world.finished
-        assert res.stats.steps == len(res.steps)
+        assert res.stats.steps == len(res.steps) == len(graphs)
         for team in (0, 1):
             trs = team_transitions(res.steps, world.team, team)
             dec = trs.dec
@@ -144,20 +163,25 @@ class TestRollout:
             np.testing.assert_allclose(trs.probs.sum(axis=1), 1.0, atol=1e-12)
             assert np.all((trs.sampled >= 0) & (trs.sampled < 5))
             assert np.all((trs.executed >= 0) & (trs.executed < 5))
-            assert np.all(world.team[dec.centres] == team)
-            for t, sd in enumerate(res.steps):
-                # the step's sub-graphs of this team, as the step decomposed them
-                mine = sd.acting[world.team[sd.dec.centres[sd.acting]] == team]
+            for t, (sd, g) in enumerate(zip(res.steps, graphs)):
+                # the team's sub-graphs of a full decomposition of the step's
+                # graph, and the policy's distributions on them
+                mine = team_subgraphs(g, world.team, team, tcfg, ncfg)
+                logp, _ = policy_logprobs(batch_subgraphs(mine), nets[team].policy)
+                probs = np.exp(logp)
+                probs /= probs.sum(axis=1, keepdims=True)
+                first = np.cumsum([0] + [sg.n_members() for sg in mine])
                 here = np.flatnonzero(trs.t == t)
-                assert np.array_equal(dec.centres[here], sd.dec.centres[mine])
-                rows = dec.rows(here)
-                assert np.array_equal(dec.members[rows], sd.dec.members[sd.dec.rows(mine)])
-                assert np.array_equal(dec.features[rows], sd.dec.features[sd.dec.rows(mine)])
-                assert np.array_equal(trs.probs[rows], sd.probs[sd.dec.rows(mine)])
-                assert np.array_equal(trs.sampled[rows], sd.drawn[dec.members[rows]])
-                assert np.array_equal(trs.executed[rows], sd.executed[dec.members[rows]])
-                want = [sd.outcome.rewards[c] for c in dec.centres[here].tolist()]
-                assert trs.reward[here].tolist() == want
+                assert len(here) == len(mine)
+                for k, sg, lo, hi in zip(here.tolist(), mine, first[:-1], first[1:]):
+                    got, rows = dec[k], slice(dec.offsets[k], dec.offsets[k + 1])
+                    assert got.centre == sg.centre and got.depth == sg.depth
+                    for name in ("members", "features", "edge_src", "edge_dst", "edge_dist", "edge_feat"):
+                        assert np.array_equal(getattr(got, name), getattr(sg, name)), name
+                    assert np.array_equal(trs.probs[rows], probs[lo:hi])
+                    assert np.array_equal(trs.sampled[rows], sd.drawn[sg.members])
+                    assert np.array_equal(trs.executed[rows], sd.executed[sg.members])
+                    assert trs.reward[k] == sd.outcome.rewards[sg.centre]
 
     def test_returns_accumulate_rewards(self):
         tcfg = TrainerConfig(algorithm="graph-pg", depth=2, batch_episodes=1)
@@ -233,27 +257,28 @@ class TestRollout:
 
 
 class TestTransitions:
-    def test_successor_linkage(self):
+    def test_successor_linkage(self, monkeypatch):
         # a Battle world where every agent lives to the end, and a crowded
         # Jungle world where agents die of crowding before the last step
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg)
         for cfg, seed, dies in ((battle_cfg(episode_limit=5), 7, False), (crowded_jungle(), 5, True)):
+            graphs = capture_graphs(monkeypatch)
             world, res = graph_episode(cfg, tcfg, ncfg, nets, seed=seed)
             last = len(res.steps) - 1
             early_ends = 0
             for team in np.unique(world.team).tolist():
                 trs = team_transitions(res.steps, world.team, team)
-                # one transition per (step, living centre) of the team
-                want = sum(int((world.team[sd.dec.centres[sd.acting]] == team).sum()) for sd in res.steps)
+                # one transition per (step, living agent) of the team
+                want = sum(int((world.team[g.ids] == team).sum()) for g in graphs)
                 assert len(trs) == want
                 for i, k in enumerate(trs.succ.tolist()):
                     centre, t = trs.dec.centres[i], trs.t[i]
                     if k >= 0:  # the same centre one step later
                         assert trs.dec.centres[k] == centre and trs.t[k] == t + 1
                     else:  # the episode ended, or the agent died during step t
-                        assert t == last or centre not in res.steps[t + 1].dec.centres
+                        assert t == last or centre not in graphs[t + 1].ids
                         early_ends += int(t < last)
             assert (early_ends > 0) == dies
 
@@ -706,7 +731,7 @@ class TestTrainer:
                 diff = max(diff, float(np.max(np.abs(a.w - b.w))))
             assert diff > 0.0
 
-    def test_per_step_update_replays_by_hand(self):
+    def test_per_step_update_replays_by_hand(self, monkeypatch):
         tcfg = TrainerConfig(
             algorithm="graph-ac", depth=2, batch_episodes=2, gamma=0.9, per_step_updates=True
         )
@@ -737,6 +762,7 @@ class TestTrainer:
         counts, sizes = [], []
         for e in range(2):
             world, rng = replay._world(0, e), replay._rng(0, e)
+            graphs = capture_graphs(monkeypatch)
             steps = []
             while not world.finished:
                 steps.append(_graph_step(world, replay.nets, tcfg, ncfg, rng, "sample", frozenset()))
@@ -752,8 +778,10 @@ class TestTrainer:
                 alive[t].append(world.num_alive(t))
             wins[0].append(float(world.num_alive(0) > world.num_alive(1)))
             wins[1].append(float(world.num_alive(1) > world.num_alive(0)))
-            counts.append(sum(len(sd.acting) for sd in steps))
-            sizes.append(sum(int(sd.dec.sizes()[sd.acting].sum()) for sd in steps))
+            # every team acts: each step's sub-graphs are a full decomposition's
+            full = [decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max) for g in graphs]
+            counts.append(sum(len(dec) for dec in full))
+            sizes.append(sum(int(dec.sizes().sum()) for dec in full))
 
         for team in replay.teams:
             params_allclose(tr.nets[team].policy, replay.nets[team].policy, atol=0)
@@ -914,6 +942,26 @@ class TestEvaluate:
             battle_cfg(), nets, tcfg, ncfg, episodes=2, seed=7, random_teams=frozenset({1})
         )
         assert out[1]["win_rate"] is not None
+
+    def test_random_team_is_not_decomposed(self, monkeypatch):
+        # each step decomposes the living agents of team 0, and of it alone
+        tcfg = TrainerConfig(algorithm="graph-pg", depth=2)
+        ncfg = tiny_net_cfg()
+        nets = make_nets(tcfg, ncfg, seed=19)
+        cfg = battle_cfg(agents=4)
+        team_of = new_scenario(cfg, 0).team
+        steps = 0
+
+        def record(g, depth, *args, centres=None, **kwargs):
+            nonlocal steps
+            steps += 1
+            assert centres is not None
+            assert np.array_equal(g.ids[centres], g.ids[team_of[g.ids] == 0])
+            return decompose(g, depth, *args, centres=centres, **kwargs)
+
+        monkeypatch.setattr(trainer, "decompose", record)
+        out = evaluate(cfg, nets, tcfg, ncfg, episodes=2, seed=7, random_teams=frozenset({1}))
+        assert steps == 2 * out[0]["mean_steps"] > 0
 
     def test_jungle_win_rate_is_none(self):
         tcfg = TrainerConfig(algorithm="graph-pg", depth=1)
