@@ -225,7 +225,7 @@ class SubGraph:
 
 @dataclass
 class Decomposition:
-    """Every sub-graph of one graph, stored as concatenated arrays.
+    """The sub-graphs of one graph's chosen centres, stored as concatenated arrays.
 
     Sub-graph i is centred on agent ``centres[i]``. Its members are rows
     ``offsets[i]:offsets[i + 1]`` of ``members`` and ``features``; its

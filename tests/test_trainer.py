@@ -93,12 +93,6 @@ def capture_graphs(monkeypatch):
     return graphs
 
 
-def team_subgraphs(g, team_of, team, tcfg, ncfg):
-    """The team's sub-graphs of an independent full decomposition of ``g``."""
-    full = decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max)
-    return [sg for sg in full if team_of[sg.centre] == team]
-
-
 @dataclass
 class Rec:
     """One transition of an array record, rebuilt for the reference loops."""
@@ -166,7 +160,8 @@ class TestRollout:
             for t, (sd, g) in enumerate(zip(res.steps, graphs)):
                 # the team's sub-graphs of a full decomposition of the step's
                 # graph, and the policy's distributions on them
-                mine = team_subgraphs(g, world.team, team, tcfg, ncfg)
+                full = decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max)
+                mine = [sg for sg in full if world.team[sg.centre] == team]
                 logp, _ = policy_logprobs(batch_subgraphs(mine), nets[team].policy)
                 probs = np.exp(logp)
                 probs /= probs.sum(axis=1, keepdims=True)
