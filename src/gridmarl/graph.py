@@ -14,15 +14,19 @@ broken by ascending agent id, and every induced edge is materialized in both
 directions so the message passing can treat edges as directed.
 
 The decomposition is one :class:`Decomposition`, a struct of arrays rather
-than an object per sub-graph. The members of all sub-graphs are concatenated
-centre after centre, with their feature rows, and ``offsets`` marks where
+than an object per sub-graph. An agent belongs to several sub-graphs, so its
+feature row is stored once: the decomposition shares the graph's feature
+table, and each member holds its row index into it. The members of all
+sub-graphs are concatenated centre after centre, and ``offsets`` marks where
 each sub-graph starts. The edges are concatenated the same way, with
-``edge_offsets``: endpoints as member slots local to their sub-graph, then
-lengths and radial-basis rows. Batched forwards read these arrays as they
-are; ``dec[i]`` gives sub-graph i as a :class:`SubGraph` view for code that
-handles one sub-graph at a time. The chosen centres are searched at once,
-level by level, over the graph's adjacency in compressed sparse rows; a
-rollout decomposes each acting team's centres on their own.
+``edge_offsets``: endpoints as member slots local to their sub-graph, then a
+code per edge into the few distinct lengths that occur and their
+radial-basis rows. Batched forwards gather the rows they need when they
+build a batch; ``dec[i]`` gives sub-graph i as a :class:`SubGraph` view, its
+rows gathered, for code that handles one sub-graph at a time. The chosen
+centres are searched at once, level by level, over the graph's adjacency in
+compressed sparse rows; a rollout decomposes each acting team's centres on
+their own, and the parts of one step share its graph's table.
 """
 
 from __future__ import annotations
@@ -197,7 +201,9 @@ def build_graph(world: GridWorld) -> EnvGraph:
 class SubGraph:
     """Everything within ``depth`` hops of one centre agent.
 
-    :class:`Decomposition` hands these out as views of its arrays.
+    :class:`Decomposition` hands these out as views: slices of its member
+    and edge arrays, with the feature and radial-basis rows gathered from its
+    tables.
 
     ``members`` are agent ids in breadth-first order (centre first, ties by
     ascending id). Edges are the induced ones, materialized in both
@@ -228,20 +234,26 @@ class Decomposition:
     """The sub-graphs of one graph's chosen centres, stored as concatenated arrays.
 
     Sub-graph i is centred on agent ``centres[i]``. Its members are rows
-    ``offsets[i]:offsets[i + 1]`` of ``members`` and ``features``; its
-    edges are rows ``edge_offsets[i]:edge_offsets[i + 1]`` of the edge
-    arrays, whose ``edge_src``/``edge_dst`` index the sub-graph's own member
-    list. ``len``, iteration and ``dec[i]`` give :class:`SubGraph` views.
+    ``offsets[i]:offsets[i + 1]`` of ``members`` and ``rows``; a member's
+    feature row is ``table[rows[k]]``, ``table`` being the graph's feature
+    table, shared and never copied. Its edges are rows
+    ``edge_offsets[i]:edge_offsets[i + 1]`` of the edge arrays, whose
+    ``edge_src``/``edge_dst`` index the sub-graph's own member list; an
+    edge's length is ``lengths[edge_code[e]]`` and its radial-basis row
+    ``rbf[edge_code[e]]``. ``len``, iteration and ``dec[i]`` give
+    :class:`SubGraph` views.
     """
 
     centres: np.ndarray       # (s,) agent ids
     members: np.ndarray       # (M,) agent ids, sub-graph after sub-graph
-    features: np.ndarray      # (M, VERTEX_DIM)
+    rows: np.ndarray          # (M,) each member's row of table
+    table: np.ndarray         # (n, VERTEX_DIM) vertex features
     offsets: np.ndarray       # (s + 1,)
     edge_src: np.ndarray      # (E,) member slots within the sub-graph
     edge_dst: np.ndarray      # (E,)
-    edge_dist: np.ndarray     # (E,)
-    edge_feat: np.ndarray     # (E, n_max)
+    edge_code: np.ndarray     # (E,) each edge's row of lengths and rbf
+    lengths: np.ndarray       # (L,) edge lengths
+    rbf: np.ndarray           # (L, n_max) their radial-basis rows
     edge_offsets: np.ndarray  # (s + 1,)
     depth: int
 
@@ -251,14 +263,15 @@ class Decomposition:
     def __getitem__(self, i: int) -> SubGraph:
         lo, hi = self.offsets[i], self.offsets[i + 1]
         elo, ehi = self.edge_offsets[i], self.edge_offsets[i + 1]
+        code = self.edge_code[elo:ehi]
         return SubGraph(
             centre=int(self.centres[i]),
             members=self.members[lo:hi],
-            features=self.features[lo:hi],
+            features=self.table[self.rows[lo:hi]],
             edge_src=self.edge_src[elo:ehi],
             edge_dst=self.edge_dst[elo:ehi],
-            edge_dist=self.edge_dist[elo:ehi],
-            edge_feat=self.edge_feat[elo:ehi],
+            edge_dist=self.lengths[code],
+            edge_feat=self.rbf[code],
             depth=self.depth,
         )
 
@@ -268,13 +281,46 @@ class Decomposition:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def head(self, n: int) -> Decomposition:
+        """The first ``n`` sub-graphs, as views of these arrays and tables."""
+        m, e = self.offsets[n], self.edge_offsets[n]
+        return Decomposition(
+            centres=self.centres[:n],
+            members=self.members[:m],
+            rows=self.rows[:m],
+            table=self.table,
+            offsets=self.offsets[: n + 1],
+            edge_src=self.edge_src[:e],
+            edge_dst=self.edge_dst[:e],
+            edge_code=self.edge_code[:e],
+            lengths=self.lengths,
+            rbf=self.rbf,
+            edge_offsets=self.edge_offsets[: n + 1],
+            depth=self.depth,
+        )
+
     @staticmethod
     def concat(parts: Sequence[Decomposition]) -> Decomposition:
-        """The sub-graphs of ``parts``, one part after another, as one decomposition."""
-        arrays = ("centres", "members", "features", "edge_src", "edge_dst", "edge_dist", "edge_feat")
+        """The sub-graphs of ``parts``, one part after another, as one decomposition.
+
+        Parts that share a feature table (the teams' parts of one step) share
+        it here too: each distinct table is joined once, and the row indices
+        and edge codes shift by the tables joined before theirs.
+        """
+        first_row: dict[int, int] = {}  # each distinct table's first row once joined
+        joined = []
+        for p in parts:
+            if id(p.table) not in first_row:
+                first_row[id(p.table)] = sum(len(t) for t in joined)
+                joined.append(p.table)
+        first_code = _offsets([len(p.lengths) for p in parts])
+        arrays = ("centres", "members", "edge_src", "edge_dst", "lengths", "rbf")
         return Decomposition(
             **{name: np.concatenate([getattr(p, name) for p in parts]) for name in arrays},
+            rows=np.concatenate([p.rows + first_row[id(p.table)] for p in parts]),
+            table=joined[0] if len(joined) == 1 else np.concatenate(joined),
             offsets=_offsets(np.concatenate([p.sizes() for p in parts])),
+            edge_code=np.concatenate([p.edge_code + c for p, c in zip(parts, first_code)]),
             edge_offsets=_offsets(np.concatenate([np.diff(p.edge_offsets) for p in parts])),
             depth=parts[0].depth,
         )
@@ -340,19 +386,19 @@ def decompose(
     hit = by_key[np.minimum(np.searchsorted(keys, want, sorter=by_key), len(keys) - 1)]
     keep = (keys[hit] == want) & (slot[hit] > slot[row_of])
     k, j = slot[row_of[keep]], slot[hit[keep]]
-    edge_src = np.stack([k, j], axis=1).ravel()
-    edge_dist = np.repeat(g.nbr_dist[adj[keep]], 2)
-    # a row depends on its length alone, and a grid has few distinct lengths
-    lengths, length_of = np.unique(edge_dist, return_inverse=True)
+    # a radial-basis row depends on its length alone, and a grid has few lengths
+    lengths, code = np.unique(g.nbr_dist[adj[keep]], return_inverse=True)
     return Decomposition(
         centres=g.ids[chosen],
         members=g.ids[vertex],
-        features=g.features[vertex],
+        rows=vertex,
+        table=g.features,
         offsets=offsets,
-        edge_src=edge_src,
+        edge_src=np.stack([k, j], axis=1).ravel(),
         edge_dst=np.stack([j, k], axis=1).ravel(),
-        edge_dist=edge_dist,
-        edge_feat=_rbe_rows(lengths, delta_d, n_max)[length_of],
+        edge_code=np.repeat(code, 2),
+        lengths=lengths,
+        rbf=_rbe_rows(lengths, delta_d, n_max),
         edge_offsets=_offsets(2 * np.bincount(centre[row_of[keep]], minlength=s)),
         depth=depth,
     )

@@ -73,7 +73,8 @@ def batch_subgraphs(
 ) -> GraphBatch:
     """Stack sub-graphs into one union graph.
 
-    ``sgs`` is a decomposition, whose arrays are stacked already, or a
+    ``sgs`` is a decomposition, whose arrays are stacked already and whose
+    feature and radial-basis rows are gathered from its tables here, or a
     sequence of sub-graphs. With ``joints`` (action vectors that, joined,
     hold one action per member row: one per sub-graph, or one for a whole
     decomposition) each vertex input gains a one-hot action block: the
@@ -81,7 +82,8 @@ def batch_subgraphs(
     """
     if isinstance(sgs, Decomposition):
         sizes, n_edges = sgs.sizes(), np.diff(sgs.edge_offsets)
-        x, src, dst, z0 = sgs.features, sgs.edge_src, sgs.edge_dst, sgs.edge_feat
+        x, src, dst = np.take(sgs.table, sgs.rows, axis=0), sgs.edge_src, sgs.edge_dst
+        z0 = np.take(sgs.rbf, sgs.edge_code, axis=0)
     else:
         sizes = np.array([sg.n_members() for sg in sgs], dtype=np.int64)
         n_edges = np.array([len(sg.edge_src) for sg in sgs], dtype=np.int64)

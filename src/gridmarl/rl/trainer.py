@@ -170,7 +170,8 @@ class StepData:
 
     ``parts`` maps each team that sampled from its policy to the sub-graphs
     centred on its living agents, centres ascending, and their member
-    distributions (rows of that decomposition). ``drawn`` and ``executed``
+    distributions (rows of that decomposition). The parts share the step
+    graph's feature table. ``drawn`` and ``executed``
     are indexed by agent id.
     """
 
@@ -185,9 +186,13 @@ class Transitions:
     """One team's (sub-graph, action, reward, successor) records, as arrays.
 
     ``dec`` holds the team's acting sub-graphs, step after step, centres
-    ascending. Its first ``len(self)`` are transitions, each with its centre's
-    reward and the index of the centre's sub-graph one step later (-1 once
-    the agent or the episode ended); any after them are successors only.
+    ascending. Its members index one feature table, the steps' graph tables
+    joined, so a feature row is held once per agent-step however many
+    sub-graphs it belongs to; the passes gather rows as they batch. Its first
+    ``len(self)`` sub-graphs are transitions, each with its centre's reward
+    and the index of the centre's sub-graph one step later (-1 once the agent
+    or the episode ended); any after them are successors only, which only the
+    sweep reads.
     """
 
     dec: Decomposition
@@ -432,7 +437,8 @@ def team_transitions(steps: Sequence[StepData], team_of: np.ndarray, team: int) 
     if not parts:  # the team never acted: an empty record
         ids, reals, start = np.empty(0, dtype=np.int64), np.empty(0), np.zeros(1, dtype=np.int64)
         dec = Decomposition(
-            ids, ids, np.empty((0, VERTEX_DIM)), start, ids, ids, reals, np.empty((0, 0)), start, 0
+            ids, ids, ids, np.empty((0, VERTEX_DIM)), start, ids, ids, ids, reals,
+            np.empty((0, 0)), start, 0,
         )
         return Transitions(dec, ids, np.empty((0, N_ACTIONS)), ids, ids, reals, ids)
     dec = Decomposition.concat(parts)
@@ -538,6 +544,21 @@ def chunked_critic_values(
 # -- per-episode gradient computation ----------------------------------------
 
 
+def _piece_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of each consecutive piece of ``x``, ``sizes[i]`` long.
+
+    The pieces of one size are summed together as the rows of one array;
+    a row adds as the piece alone would, so each sum has the bits of
+    ``piece.sum()`` (``np.add.reduceat`` adds in another order).
+    """
+    out = np.empty(len(sizes))
+    first = np.cumsum(sizes) - sizes
+    for m in np.unique(sizes).tolist():
+        k = np.flatnonzero(sizes == m)
+        out[k] = x[first[k][:, None] + np.arange(m)].sum(axis=1)
+    return out
+
+
 def _fresh_probs(dec: Decomposition, policy: NetParams) -> np.ndarray:
     """Member distributions under the current parameters, rows of ``dec``."""
     batch = batch_subgraphs(dec)
@@ -557,8 +578,8 @@ def _policy_pass(transitions: Transitions, coeffs: np.ndarray, policy: NetParams
     the score-function estimator.
     """
     grads = zeros_like_params(policy)
-    batch = batch_subgraphs(transitions.dec)
-    sizes, n_edges = (a[: len(transitions)] for a in batch.sizes())
+    batch = batch_subgraphs(transitions.dec.head(len(transitions)))
+    sizes, n_edges = batch.sizes()
     first = np.concatenate([[0], np.cumsum(sizes)])  # first member row per transition
     for part in _chunks(sizes, n_edges):
         rows = slice(first[part.start], first[part.stop])
@@ -572,8 +593,9 @@ def _policy_pass(transitions: Transitions, coeffs: np.ndarray, policy: NetParams
 def _critic_pass(transitions: Transitions, coeffs: np.ndarray, critic: NetParams) -> Params:
     """Gradient of sum over transitions of coeff * q(sg, executed joint)."""
     grads = zeros_like_params(critic)
-    batch = batch_subgraphs(transitions.dec, joints=[transitions.executed])
-    for part in _chunks(*(a[: len(transitions)] for a in batch.sizes())):
+    dec = transitions.dec.head(len(transitions))
+    batch = batch_subgraphs(dec, joints=[transitions.executed[: dec.offsets[-1]]])
+    for part in _chunks(*batch.sizes()):
         _, trace = critic_values(batch.graphs(part), critic, record=True)
         add_scaled_(grads, backward(trace, coeffs[part]))
     return grads
@@ -630,8 +652,7 @@ def ac_episode_grads(
     reward = np.repeat(transitions.reward, own_sizes)
     deltas = reward + tcfg.gamma * vn - value[: len(succ)]
     pol = _policy_pass(transitions, deltas, policy)
-    per_transition = np.split(deltas, np.cumsum(own_sizes)[:-1])
-    cri = _critic_pass(transitions, np.array([d.sum() for d in per_transition]), critic)
+    cri = _critic_pass(transitions, _piece_sums(deltas, own_sizes), critic)
     return pol, cri
 
 

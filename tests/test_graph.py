@@ -21,7 +21,8 @@ from gridmarl import (
     all_vertex_features,
     VERTEX_DIM,
 )
-from gridmarl.graph import EnvGraph, SubGraph, _rbe_rows
+from gridmarl.graph import Decomposition, EnvGraph, SubGraph, _rbe_rows
+from gridmarl.nn import batch_subgraphs
 
 
 def rbe_oracle(d: float, delta_d: float, n_max: int) -> list[float]:
@@ -341,7 +342,7 @@ class TestDecompose:
 
     def test_chosen_centres_equal_the_full_decomposition_restricted(self):
         # per field, bit for bit: the sub-graphs of the chosen centres, cut
-        # out of the decomposition of every centre
+        # out of the decomposition of every centre, rows gathered from the tables
         def restricted(dec, index):
             rows = [np.arange(dec.offsets[i], dec.offsets[i + 1]) for i in index]
             edges = [np.arange(dec.edge_offsets[i], dec.edge_offsets[i + 1]) for i in index]
@@ -350,12 +351,13 @@ class TestDecompose:
             return {
                 "centres": dec.centres[index],
                 "members": dec.members[rows],
-                "features": dec.features[rows],
+                "rows": dec.rows[rows],
+                "features": dec.table[dec.rows[rows]],
                 "offsets": np.concatenate([[0], np.cumsum(dec.sizes()[index])]),
                 "edge_src": dec.edge_src[edges],
                 "edge_dst": dec.edge_dst[edges],
-                "edge_dist": dec.edge_dist[edges],
-                "edge_feat": dec.edge_feat[edges],
+                "edge_dist": dec.lengths[dec.edge_code[edges]],
+                "edge_feat": dec.rbf[dec.edge_code[edges]],
                 "edge_offsets": np.concatenate([[0], np.cumsum(np.diff(dec.edge_offsets)[index])]),
             }
 
@@ -375,8 +377,9 @@ class TestDecompose:
                     for centres in choices:
                         got = decompose(g, k, 0.3, 10, centres=centres)
                         assert got.depth == k and len(got) == len(centres)
+                        have_all = restricted(got, np.arange(len(got)))
                         for name, want in restricted(full, centres).items():
-                            have = getattr(got, name)
+                            have = have_all[name]
                             assert have.dtype == want.dtype and have.shape == want.shape, name
                             assert np.array_equal(have, want), name
                         tried += 1
@@ -391,3 +394,69 @@ class TestDecompose:
         )
         with pytest.raises(EmptyWorld):
             decompose(empty, 2)
+
+
+class TestSharedTables:
+    def test_decomposition_shares_the_graph_feature_table(self):
+        rng = np.random.default_rng(37)
+        for scenario in (Scenario.JUNGLE, Scenario.BATTLE):
+            for _ in range(10):
+                g = build_graph(stacked_world(rng, scenario))
+                for k in (1, 2, 3):
+                    dec = decompose(g, k)
+                    assert dec.table is g.features and np.shares_memory(dec.table, g.features)
+                    assert np.array_equal(dec.members, g.ids[dec.rows])
+                    # one radial-basis row per distinct length
+                    assert len(np.unique(dec.lengths)) == len(dec.lengths) == len(dec.rbf)
+
+    def test_concat_maps_every_member_to_its_own_graphs_row(self):
+        rng = np.random.default_rng(41)
+        for scenario in (Scenario.JUNGLE, Scenario.BATTLE):
+            for _ in range(10):
+                graphs = [build_graph(stacked_world(rng, scenario)) for _ in range(3)]
+                parts, owner = [], []
+                for gi, g in enumerate(graphs):
+                    # two parts of the first graph share its table
+                    for _ in range(2 if gi == 0 else 1):
+                        centres = np.flatnonzero(rng.random(g.n_vertices()) < 0.6)
+                        parts.append(decompose(g, int(rng.integers(1, 4)), centres=centres))
+                        owner.append(gi)
+                dec = Decomposition.concat(parts)
+                assert len(dec.table) == sum(g.n_vertices() for g in graphs)
+                graph_of = np.concatenate([np.full(p.offsets[-1], gi) for p, gi in zip(parts, owner)])
+                for k, (member, gi) in enumerate(zip(dec.members.tolist(), graph_of.tolist())):
+                    g = graphs[gi]
+                    own = int(np.searchsorted(g.ids, member))
+                    assert np.array_equal(dec.table[dec.rows[k]], g.features[own])
+                # every sub-graph reads as it did in its own part
+                views = [sg for p in parts for sg in p]
+                assert len(dec) == len(views)
+                for got, want in zip(dec, views):
+                    for name in ("members", "features", "edge_src", "edge_dst", "edge_dist", "edge_feat"):
+                        x, y = getattr(got, name), getattr(want, name)
+                        assert x.dtype == y.dtype and x.shape == y.shape, name
+                        assert np.array_equal(x, y), name
+
+    def test_batch_gathers_as_the_views_do(self):
+        # bit for bit, the batch of a decomposition and that of its views
+        rng = np.random.default_rng(43)
+        for scenario in (Scenario.JUNGLE, Scenario.BATTLE):
+            for _ in range(15):
+                g = build_graph(stacked_world(rng, scenario))
+                for k in (1, 2, 3):
+                    dec = decompose(g, k)
+                    joint = rng.integers(5, size=int(dec.offsets[-1]))
+                    views = list(dec)
+                    pairs = [
+                        (batch_subgraphs(dec), batch_subgraphs(views)),
+                        (
+                            batch_subgraphs(dec, joints=[joint]),
+                            batch_subgraphs(views, joints=np.split(joint, dec.offsets[1:-1])),
+                        ),
+                    ]
+                    for got, want in pairs:
+                        assert got.n_graphs == want.n_graphs
+                        for name in ("x", "edge_src", "edge_dst", "z0", "graph_of"):
+                            x, y = getattr(got, name), getattr(want, name)
+                            assert x.dtype == y.dtype and x.shape == y.shape, name
+                            assert np.array_equal(x, y), name
