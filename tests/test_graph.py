@@ -404,7 +404,7 @@ class TestSharedTables:
                 g = build_graph(stacked_world(rng, scenario))
                 for k in (1, 2, 3):
                     dec = decompose(g, k)
-                    assert dec.table is g.features and np.shares_memory(dec.table, g.features)
+                    assert dec.table is g.features
                     assert np.array_equal(dec.members, g.ids[dec.rows])
                     # one radial-basis row per distinct length
                     assert len(np.unique(dec.lengths)) == len(dec.lengths) == len(dec.rbf)

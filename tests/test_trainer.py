@@ -277,7 +277,6 @@ class TestTransitions:
                         early_ends += int(t < last)
             assert (early_ends > 0) == dies
 
-
     def test_teams_of_a_step_share_its_feature_table(self, monkeypatch):
         # the parts hold the step graph's table, not a row per member; a
         # record joins each step's table once
@@ -566,8 +565,9 @@ class TestEpisodeGrads:
         policy_plain, values_plain = trainer.policy_logprobs, trainer.critic_values
 
         def batch(dec, joints=None):
-            built.append(batch_plain(dec, joints=joints).n_vertices())
-            return batch_plain(dec, joints=joints)
+            out = batch_plain(dec, joints=joints)
+            built.append(out.n_vertices())
+            return out
 
         def policy(batch, params, record=False):
             recorded["policy"] += batch.n_vertices() if record else 0
