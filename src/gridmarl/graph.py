@@ -281,44 +281,19 @@ class Decomposition:
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def head(self, n: int) -> Decomposition:
-        """The first ``n`` sub-graphs, as views of these arrays and tables."""
-        m, e = self.offsets[n], self.edge_offsets[n]
-        return Decomposition(
-            centres=self.centres[:n],
-            members=self.members[:m],
-            rows=self.rows[:m],
-            table=self.table,
-            offsets=self.offsets[: n + 1],
-            edge_src=self.edge_src[:e],
-            edge_dst=self.edge_dst[:e],
-            edge_code=self.edge_code[:e],
-            lengths=self.lengths,
-            rbf=self.rbf,
-            edge_offsets=self.edge_offsets[: n + 1],
-            depth=self.depth,
-        )
-
     @staticmethod
     def concat(parts: Sequence[Decomposition]) -> Decomposition:
         """The sub-graphs of ``parts``, one part after another, as one decomposition.
 
-        Parts that share a feature table (the teams' parts of one step) share
-        it here too: each distinct table is joined once, and the row indices
-        and edge codes shift by the tables joined before theirs.
+        The parts' tables are joined, and each part's row indices and edge
+        codes shift by the rows of the tables before its own.
         """
-        first_row: dict[int, int] = {}  # each distinct table's first row once joined
-        joined = []
-        for p in parts:
-            if id(p.table) not in first_row:
-                first_row[id(p.table)] = sum(len(t) for t in joined)
-                joined.append(p.table)
+        first_row = _offsets([len(p.table) for p in parts])
         first_code = _offsets([len(p.lengths) for p in parts])
-        arrays = ("centres", "members", "edge_src", "edge_dst", "lengths", "rbf")
+        arrays = ("centres", "members", "table", "edge_src", "edge_dst", "lengths", "rbf")
         return Decomposition(
             **{name: np.concatenate([getattr(p, name) for p in parts]) for name in arrays},
-            rows=np.concatenate([p.rows + first_row[id(p.table)] for p in parts]),
-            table=joined[0] if len(joined) == 1 else np.concatenate(joined),
+            rows=np.concatenate([p.rows + f for p, f in zip(parts, first_row)]),
             offsets=_offsets(np.concatenate([p.sizes() for p in parts])),
             edge_code=np.concatenate([p.edge_code + c for p, c in zip(parts, first_code)]),
             edge_offsets=_offsets(np.concatenate([np.diff(p.edge_offsets) for p in parts])),

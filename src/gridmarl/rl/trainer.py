@@ -191,8 +191,7 @@ class Transitions:
     sub-graphs it belongs to; the passes gather rows as they batch. Its first
     ``len(self)`` sub-graphs are transitions, each with its centre's reward
     and the index of the centre's sub-graph one step later (-1 once the agent
-    or the episode ended); any after them are successors only, which only the
-    sweep reads.
+    or the episode ended); any after them are successors only.
     """
 
     dec: Decomposition
@@ -544,21 +543,6 @@ def chunked_critic_values(
 # -- per-episode gradient computation ----------------------------------------
 
 
-def _piece_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The sum of each consecutive piece of ``x``, ``sizes[i]`` long.
-
-    The pieces of one size are summed together as the rows of one array;
-    a row adds as the piece alone would, so each sum has the bits of
-    ``piece.sum()`` (``np.add.reduceat`` adds in another order).
-    """
-    out = np.empty(len(sizes))
-    first = np.cumsum(sizes) - sizes
-    for m in np.unique(sizes).tolist():
-        k = np.flatnonzero(sizes == m)
-        out[k] = x[first[k][:, None] + np.arange(m)].sum(axis=1)
-    return out
-
-
 def _fresh_probs(dec: Decomposition, policy: NetParams) -> np.ndarray:
     """Member distributions under the current parameters, rows of ``dec``."""
     batch = batch_subgraphs(dec)
@@ -578,8 +562,8 @@ def _policy_pass(transitions: Transitions, coeffs: np.ndarray, policy: NetParams
     the score-function estimator.
     """
     grads = zeros_like_params(policy)
-    batch = batch_subgraphs(transitions.dec.head(len(transitions)))
-    sizes, n_edges = batch.sizes()
+    batch = batch_subgraphs(transitions.dec)
+    sizes, n_edges = (a[: len(transitions)] for a in batch.sizes())
     first = np.concatenate([[0], np.cumsum(sizes)])  # first member row per transition
     for part in _chunks(sizes, n_edges):
         rows = slice(first[part.start], first[part.stop])
@@ -593,9 +577,8 @@ def _policy_pass(transitions: Transitions, coeffs: np.ndarray, policy: NetParams
 def _critic_pass(transitions: Transitions, coeffs: np.ndarray, critic: NetParams) -> Params:
     """Gradient of sum over transitions of coeff * q(sg, executed joint)."""
     grads = zeros_like_params(critic)
-    dec = transitions.dec.head(len(transitions))
-    batch = batch_subgraphs(dec, joints=[transitions.executed[: dec.offsets[-1]]])
-    for part in _chunks(*batch.sizes()):
+    batch = batch_subgraphs(transitions.dec, joints=[transitions.executed])
+    for part in _chunks(*(a[: len(transitions)] for a in batch.sizes())):
         _, trace = critic_values(batch.graphs(part), critic, record=True)
         add_scaled_(grads, backward(trace, coeffs[part]))
     return grads
@@ -652,7 +635,8 @@ def ac_episode_grads(
     reward = np.repeat(transitions.reward, own_sizes)
     deltas = reward + tcfg.gamma * vn - value[: len(succ)]
     pol = _policy_pass(transitions, deltas, policy)
-    cri = _critic_pass(transitions, _piece_sums(deltas, own_sizes), critic)
+    per_transition = np.split(deltas, np.cumsum(own_sizes)[:-1])
+    cri = _critic_pass(transitions, np.array([d.sum() for d in per_transition]), critic)
     return pol, cri
 
 

@@ -342,7 +342,8 @@ class TestDecompose:
 
     def test_chosen_centres_equal_the_full_decomposition_restricted(self):
         # per field, bit for bit: the sub-graphs of the chosen centres, cut
-        # out of the decomposition of every centre, rows gathered from the tables
+        # out of the decomposition of every centre; features, lengths and
+        # radial-basis rows as gathered from the tables
         def restricted(dec, index):
             rows = [np.arange(dec.offsets[i], dec.offsets[i + 1]) for i in index]
             edges = [np.arange(dec.edge_offsets[i], dec.edge_offsets[i + 1]) for i in index]
@@ -377,9 +378,13 @@ class TestDecompose:
                     for centres in choices:
                         got = decompose(g, k, 0.3, 10, centres=centres)
                         assert got.depth == k and len(got) == len(centres)
-                        have_all = restricted(got, np.arange(len(got)))
+                        gathered = {
+                            "features": got.table[got.rows],
+                            "edge_dist": got.lengths[got.edge_code],
+                            "edge_feat": got.rbf[got.edge_code],
+                        }
                         for name, want in restricted(full, centres).items():
-                            have = have_all[name]
+                            have = gathered[name] if name in gathered else getattr(got, name)
                             assert have.dtype == want.dtype and have.shape == want.shape, name
                             assert np.array_equal(have, want), name
                         tried += 1
@@ -414,16 +419,13 @@ class TestSharedTables:
         for scenario in (Scenario.JUNGLE, Scenario.BATTLE):
             for _ in range(10):
                 graphs = [build_graph(stacked_world(rng, scenario)) for _ in range(3)]
-                parts, owner = [], []
-                for gi, g in enumerate(graphs):
-                    # two parts of the first graph share its table
-                    for _ in range(2 if gi == 0 else 1):
-                        centres = np.flatnonzero(rng.random(g.n_vertices()) < 0.6)
-                        parts.append(decompose(g, int(rng.integers(1, 4)), centres=centres))
-                        owner.append(gi)
+                parts = []
+                for g in graphs:
+                    centres = np.flatnonzero(rng.random(g.n_vertices()) < 0.6)
+                    parts.append(decompose(g, int(rng.integers(1, 4)), centres=centres))
                 dec = Decomposition.concat(parts)
                 assert len(dec.table) == sum(g.n_vertices() for g in graphs)
-                graph_of = np.concatenate([np.full(p.offsets[-1], gi) for p, gi in zip(parts, owner)])
+                graph_of = np.concatenate([np.full(p.offsets[-1], gi) for gi, p in enumerate(parts)])
                 for k, (member, gi) in enumerate(zip(dec.members.tolist(), graph_of.tolist())):
                     g = graphs[gi]
                     own = int(np.searchsorted(g.ids, member))

@@ -279,7 +279,7 @@ class TestTransitions:
 
     def test_teams_of_a_step_share_its_feature_table(self, monkeypatch):
         # the parts hold the step graph's table, not a row per member; a
-        # record joins each step's table once
+        # record holds one table per step
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
         ncfg = tiny_net_cfg()
         nets = make_nets(tcfg, ncfg)
@@ -294,9 +294,6 @@ class TestTransitions:
             assert len(trs.dec.table) == sum(g.n_vertices() for g in graphs)
             centre_rows = trs.dec.table[trs.dec.rows[trs.dec.offsets[:-1]]]
             assert np.all(centre_rows[:, team] == 1.0)  # the centre's team one-hot
-        sd, nxt = res.steps[0], res.steps[1]
-        both = Decomposition.concat([sd.parts[0][0], sd.parts[1][0], nxt.parts[0][0]])
-        assert len(both.table) == graphs[0].n_vertices() + graphs[1].n_vertices()
 
 
 class TestSweeps:
@@ -545,57 +542,6 @@ class TestEpisodeGrads:
         m = trs.dec.sizes()
         assert sum(swept) == int(m.sum())
         assert sum(valued) == int(m.sum())
-
-    def test_piece_sums_have_the_bits_of_each_piece_sum(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            sizes = rng.integers(1, 301, size=int(rng.integers(1, 60)))
-            x = rng.normal(size=int(sizes.sum())) * 10.0 ** rng.integers(-3, 4, size=int(sizes.sum()))
-            want = np.array([piece.sum() for piece in np.split(x, np.cumsum(sizes)[:-1])])
-            assert trainer._piece_sums(x, sizes).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("per_step", [False, True])
-    def test_recorded_passes_batch_only_the_transitions(self, monkeypatch, per_step):
-        # per-step records hold successors after the transitions; only the
-        # sweep reads them, so the recorded passes see the transitions' rows
-        tcfg, nets, res, team_of = self.setup_ac(seed=3)
-        recorded = {"policy": 0, "critic": 0}
-        built = []
-        batch_plain = trainer.batch_subgraphs
-        policy_plain, values_plain = trainer.policy_logprobs, trainer.critic_values
-
-        def batch(dec, joints=None):
-            out = batch_plain(dec, joints=joints)
-            built.append(out.n_vertices())
-            return out
-
-        def policy(batch, params, record=False):
-            recorded["policy"] += batch.n_vertices() if record else 0
-            return policy_plain(batch, params, record=record)
-
-        def values(batch, params, record=False):
-            recorded["critic"] += batch.n_vertices() if record else 0
-            return values_plain(batch, params, record=record)
-
-        monkeypatch.setattr(trainer, "batch_subgraphs", batch)
-        monkeypatch.setattr(trainer, "policy_logprobs", policy)
-        monkeypatch.setattr(trainer, "critic_values", values)
-        want = held = 0
-        if per_step:
-            for t, sd in enumerate(res.steps[:-1]):
-                trs = step_transitions(sd, res.steps[t + 1], team_of, 0)
-                assert len(trs) < len(trs.dec)  # successors are held
-                want += int(trs.dec.offsets[len(trs)])
-                held += int(trs.dec.offsets[-1])
-                ac_episode_grads(trs, nets[0], tcfg, fresh_probs=True)
-            # the fresh distributions and the sweep batch every sub-graph
-            assert sum(built) == 2 * held + 2 * want
-        else:
-            trs = team_transitions(res.steps, team_of, 0)
-            want = int(trs.dec.offsets[-1])
-            ac_episode_grads(trs, nets[0], tcfg)
-            assert sum(built) == 3 * want  # the sweep and the two passes
-        assert recorded == {"policy": want, "critic": want}
 
     def test_ac_stored_vs_fresh_probs_agree_before_updates(self):
         # nothing has stepped the optimizer, so stored and recomputed
