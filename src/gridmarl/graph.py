@@ -21,9 +21,10 @@ sub-graphs are concatenated centre after centre, and ``offsets`` marks where
 each sub-graph starts. The edges are concatenated the same way, with
 ``edge_offsets``: endpoints as member slots local to their sub-graph, then a
 code per edge into the few distinct lengths that occur and their
-radial-basis rows. Batched forwards gather the rows they need when they
-build a batch; ``dec[i]`` gives sub-graph i as a :class:`SubGraph` view, its
-rows gathered, for code that handles one sub-graph at a time. The chosen
+radial-basis rows. A batch shares these tables too, and a batched forward
+multiplies their rows and gathers the products; ``dec[i]`` gives sub-graph
+i as a :class:`SubGraph` view, its rows gathered, for code that handles one
+sub-graph at a time. The chosen
 centres are searched at once, level by level, over the graph's adjacency in
 compressed sparse rows; a rollout decomposes each acting team's centres on
 their own, and the parts of one step share its graph's table.

@@ -1,8 +1,9 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
 Only the operations the message-passing networks actually use are provided:
-affine maps, ReLU, elementwise add/multiply, row gather, segment sum, column
-concatenation and a row-wise log-softmax. Every op returns a :class:`Var`
+affine maps (with or without a bias), a weight's column block, ReLU,
+elementwise add/multiply, row gather, segment sum and a row-wise
+log-softmax. Every op returns a :class:`Var`
 holding the forward value plus vector-Jacobian closures back to its parents;
 :func:`backward` replays them in reverse topological order and accumulates
 adjoints on the leaves. The ReLU subgradient at exactly zero is zero.
@@ -42,25 +43,34 @@ def leaf(value: np.ndarray) -> Var:
     return Var(value)
 
 
-def linear(x: Var, w: Var, b: Var) -> Var:
-    """Rows of ``x`` through the affine map ``x @ w.T + b``."""
-    xv, wv, bv = x.value, w.value, b.value
-    if xv.ndim != 2 or wv.ndim != 2 or bv.ndim != 1:
+def linear(x: Var, w: Var, b: Optional[Var] = None) -> Var:
+    """Rows of ``x`` through the affine map ``x @ w.T + b``, or ``x @ w.T`` without ``b``."""
+    xv, wv = x.value, w.value
+    b_shape = wv.shape[:1] if b is None else b.value.shape
+    if xv.ndim != 2 or wv.ndim != 2 or len(b_shape) != 1:
         raise ShapeError("linear expects x (n,in), w (out,in), b (out,)")
-    if xv.shape[1] != wv.shape[1] or bv.shape[0] != wv.shape[0]:
+    if xv.shape[1] != wv.shape[1] or b_shape[0] != wv.shape[0]:
         raise ShapeError(
-            f"linear shape mismatch: x {xv.shape}, w {wv.shape}, b {bv.shape}"
+            f"linear shape mismatch: x {xv.shape}, w {wv.shape}, b {b_shape}"
         )
     out = xv @ wv.T
-    out += bv
-    return Var(
-        out,
-        parents=(
-            (x, lambda g: g @ wv),
-            (w, lambda g: g.T @ xv),
-            (b, lambda g: g.sum(axis=0)),
-        ),
-    )
+    parents: list[tuple[Var, VJP]] = [(x, lambda g: g @ wv), (w, lambda g: g.T @ xv)]
+    if b is not None:
+        out += b.value
+        parents.append((b, lambda g: g.sum(axis=0)))
+    return Var(out, parents=parents)
+
+
+def columns(w: Var, cols: slice) -> Var:
+    """The column block ``w[:, cols]``; its adjoint fills those columns of a zero ``w``."""
+    wv = w.value
+
+    def back(g: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(wv)
+        out[:, cols] = g
+        return out
+
+    return Var(wv[:, cols], parents=((w, back),))
 
 
 def relu(x: Var) -> Var:
@@ -107,23 +117,6 @@ def segment_sum(x: Var, seg: np.ndarray, n_segments: int) -> Var:
         raise ShapeError("segment_sum expects x (n,d) and seg (n,)")
     out = scatter_rows(x.value, seg, n_segments)
     return Var(out, parents=((x, lambda g: np.take(g, seg, axis=0)),))
-
-
-def concat_cols(parts: Sequence[Var]) -> Var:
-    vals = [p.value for p in parts]
-    if any(v.ndim != 2 for v in vals) or len({v.shape[0] for v in vals}) != 1:
-        raise ShapeError("concat_cols expects 2-d arrays with equal row counts")
-    widths = [v.shape[1] for v in vals]
-    offsets = np.cumsum([0] + widths)
-
-    def back_for(k: int) -> VJP:
-        lo, hi = offsets[k], offsets[k + 1]
-        return lambda g: g[:, lo:hi]
-
-    return Var(
-        np.concatenate(vals, axis=1),
-        parents=tuple((p, back_for(k)) for k, p in enumerate(parts)),
-    )
 
 
 def log_softmax(x: Var) -> Var:

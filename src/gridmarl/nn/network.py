@@ -1,11 +1,16 @@
 """Batched message-passing forward passes for policy and critic.
 
 Any number of sub-graphs are processed at once by flattening them into one
-disjoint union: a stacked vertex-input matrix, directed edge index arrays
-offset per sub-graph, and a vertex-to-sub-graph map for the critic's sum
-pooling. The same forward routine runs in two modes sharing one code path:
-plain numpy (sampling, baseline sweeps) and recorded (builds an autodiff
-graph whose :func:`backward` yields parameter gradients). A baseline sweep
+disjoint union: per vertex a row index into a shared feature table (and, for
+the critic, an action), per edge a code into a shared table of radial-basis
+rows, directed edge index arrays offset per sub-graph, and a
+vertex-to-sub-graph map for the critic's sum pooling. Every linear layer
+runs on the fewest rows its input depends on and its outputs are gathered:
+the embedding multiplies each table row once, the first edge layer each
+distinct edge length once and each vertex state once per endpoint role. The
+same forward routine runs in two modes sharing one code path: plain numpy
+(sampling, baseline sweeps) and recorded (builds an autodiff graph whose
+:func:`backward` yields parameter gradients). A baseline sweep
 (:func:`critic_deviations`) keeps the plain pass's states and patches them
 for each single-member action deviation, re-evaluating only the vertices
 and edges the deviation reaches.
@@ -31,21 +36,40 @@ from ..gridworld import N_ACTIONS
 from . import autodiff as ad
 from .params import LayerParams, MlpParams, NetParams, Params, zeros_like_params
 
+_ONE_HOT = np.eye(N_ACTIONS)
+
 
 @dataclass
 class GraphBatch:
-    """A disjoint union of sub-graphs, flattened for batched passes."""
+    """A disjoint union of sub-graphs, flattened for batched passes.
 
-    x: np.ndarray          # (v, f) vertex inputs
-    edge_src: np.ndarray   # (e,) row indices
-    edge_dst: np.ndarray   # (e,)
-    z0: np.ndarray         # (e, d) radial-basis edge features
-    graph_of: np.ndarray   # (v,) owning sub-graph per row
+    Vertex v's features are ``table[rows[v]]`` and, in a critic batch, its
+    action is ``acts[v]``; edge e's radial-basis row is ``rbf[edge_code[e]]``.
+    The tables are shared with what the batch was built from and with the
+    batches :meth:`graphs` cuts from it: nothing gathers their rows but
+    :attr:`x`, which no forward reads.
+    """
+
+    table: np.ndarray           # (n, f) vertex feature rows
+    rows: np.ndarray            # (v,) each vertex's row of table
+    acts: Optional[np.ndarray]  # (v,) each vertex's action in a critic batch, else None
+    rbf: np.ndarray             # (L, d) radial-basis rows
+    edge_code: np.ndarray       # (e,) each edge's row of rbf
+    edge_src: np.ndarray        # (e,) vertex indices
+    edge_dst: np.ndarray        # (e,)
+    graph_of: np.ndarray        # (v,) owning sub-graph per vertex
     n_graphs: int
     regions: Optional[_Regions] = field(default=None, repr=False)  # kept by _regions
 
+    @property
+    def x(self) -> np.ndarray:
+        """(v, f) vertex inputs, gathered on demand: the features, then in a
+        critic batch the action's one-hot block."""
+        x = np.take(self.table, self.rows, axis=0)
+        return x if self.acts is None else np.concatenate([x, _ONE_HOT[self.acts]], axis=1)
+
     def n_vertices(self) -> int:
-        return self.x.shape[0]
+        return len(self.rows)
 
     def sizes(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex rows and edges of each sub-graph: (g,) each."""
@@ -53,14 +77,18 @@ class GraphBatch:
         return np.bincount(of, minlength=g), np.bincount(of[self.edge_src], minlength=g)
 
     def graphs(self, part: slice) -> GraphBatch:
-        """The sub-graphs ``part`` (a plain ascending slice) as a batch of their own."""
+        """The sub-graphs ``part`` (a plain ascending slice) as a batch of their own,
+        sharing this batch's tables."""
         lo, hi = np.searchsorted(self.graph_of, [part.start, part.stop])
         elo, ehi = np.searchsorted(self.graph_of[self.edge_src], [part.start, part.stop])
         return GraphBatch(
-            x=self.x[lo:hi],
+            table=self.table,
+            rows=self.rows[lo:hi],
+            acts=None if self.acts is None else self.acts[lo:hi],
+            rbf=self.rbf,
+            edge_code=self.edge_code[elo:ehi],
             edge_src=self.edge_src[elo:ehi] - lo,
             edge_dst=self.edge_dst[elo:ehi] - lo,
-            z0=self.z0[elo:ehi],
             graph_of=self.graph_of[lo:hi] - part.start,
             n_graphs=part.stop - part.start,
             regions=None if self.regions is None else self.regions.rows(lo, hi, elo, ehi),
@@ -71,36 +99,43 @@ def batch_subgraphs(
     sgs: Decomposition | Sequence[SubGraph],
     joints: Optional[Sequence[np.ndarray]] = None,
 ) -> GraphBatch:
-    """Stack sub-graphs into one union graph.
+    """Stack sub-graphs into one union graph, gathering no feature rows.
 
     ``sgs`` is a decomposition, whose arrays are stacked already and whose
-    feature and radial-basis rows are gathered from its tables here, or a
-    sequence of sub-graphs. With ``joints`` (action vectors that, joined,
-    hold one action per member row: one per sub-graph, or one for a whole
-    decomposition) each vertex input gains a one-hot action block: the
-    critic's input layout. Plain vertex features otherwise: the policy's.
+    feature table and radial-basis rows the batch shares, or a sequence of
+    sub-graphs, whose rows are joined into tables indexed in order. With
+    ``joints`` (action vectors that, joined, hold one action per member row:
+    one per sub-graph, or one for a whole decomposition) each vertex also
+    holds an action, which enters as a one-hot input block: the critic's
+    input layout. Plain vertex features otherwise: the policy's.
     """
     if isinstance(sgs, Decomposition):
         sizes, n_edges = sgs.sizes(), np.diff(sgs.edge_offsets)
-        x, src, dst = np.take(sgs.table, sgs.rows, axis=0), sgs.edge_src, sgs.edge_dst
-        z0 = np.take(sgs.rbf, sgs.edge_code, axis=0)
+        table, rows, rbf, code = sgs.table, sgs.rows, sgs.rbf, sgs.edge_code
+        src, dst = sgs.edge_src, sgs.edge_dst
     else:
         sizes = np.array([sg.n_members() for sg in sgs], dtype=np.int64)
         n_edges = np.array([len(sg.edge_src) for sg in sgs], dtype=np.int64)
-        x = np.concatenate([sg.features for sg in sgs], axis=0)
+        table = np.concatenate([sg.features for sg in sgs], axis=0)
+        rbf = np.concatenate([sg.edge_feat for sg in sgs], axis=0)
+        rows, code = np.arange(len(table)), np.arange(len(rbf))
         src = np.concatenate([sg.edge_src for sg in sgs])
         dst = np.concatenate([sg.edge_dst for sg in sgs])
-        z0 = np.concatenate([sg.edge_feat for sg in sgs], axis=0)
+    acts = None
     if joints is not None:
         acts = np.concatenate([np.asarray(j, dtype=np.int64) for j in joints])
-        x = np.concatenate([x, np.eye(N_ACTIONS)[acts]], axis=1)
+        if acts.shape != rows.shape:
+            raise ShapeError(f"joints hold {len(acts)} actions for {len(rows)} member rows")
     # every edge index shifts by the rows of the sub-graphs stacked before it
     shift = np.repeat(np.cumsum(sizes) - sizes, n_edges)
     return GraphBatch(
-        x=x,
+        table=table,
+        rows=rows,
+        acts=acts,
+        rbf=rbf,
+        edge_code=code,
         edge_src=src + shift,
         edge_dst=dst + shift,
-        z0=z0,
         graph_of=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
         n_graphs=len(sizes),
     )
@@ -124,9 +159,10 @@ class _NumpyOps:
     def wrap(self, x: np.ndarray):
         return x
 
-    def linear(self, x, p: LayerParams):
-        out = x @ p.w.T
-        out += p.b
+    def linear(self, x, p: LayerParams, cols: Optional[slice] = None, bias: bool = True):
+        out = x @ (p.w if cols is None else p.w[:, cols]).T
+        if bias:
+            out += p.b
         return out
 
     def relu(self, x):
@@ -143,9 +179,6 @@ class _NumpyOps:
 
     def segsum(self, x, seg, n):
         return ad.scatter_rows(x, seg, n)
-
-    def concat(self, parts):
-        return np.concatenate(parts, axis=1)
 
     def log_softmax(self, x):
         shifted = x - x.max(axis=1, keepdims=True)
@@ -180,8 +213,9 @@ class _RecordOps:
     def wrap(self, x: np.ndarray):
         return ad.leaf(x)
 
-    def linear(self, x, wb):
-        return ad.linear(x, wb[0], wb[1])
+    def linear(self, x, wb, cols: Optional[slice] = None, bias: bool = True):
+        w, b = wb
+        return ad.linear(x, w if cols is None else ad.columns(w, cols), b if bias else None)
 
     def relu(self, x):
         return ad.relu(x)
@@ -198,9 +232,6 @@ class _RecordOps:
     def segsum(self, x, seg, n):
         return ad.segment_sum(x, seg, n)
 
-    def concat(self, parts):
-        return ad.concat_cols(list(parts))
-
     def log_softmax(self, x):
         return ad.log_softmax(x)
 
@@ -208,21 +239,38 @@ class _RecordOps:
 def _graph_trunk(batch: GraphBatch, params: NetParams, ops, keep: Optional[list] = None):
     """The network's output rows; ``keep``, with :class:`_KeepOps`, gets the states.
 
+    A layer whose input is a concatenation is the sum of its column blocks'
+    products, so each block is multiplied on the rows it depends on and the
+    products are gathered: the embedding on the feature table's rows (and
+    the identity, for the action columns), each round's edge layer on the
+    vertex states once per endpoint and, in round 0, on the radial-basis
+    rows of the distinct edge lengths. No vertex-input matrix and no edge
+    concatenation is built.
+
     Per round ``keep`` receives (s, pre, filt, fsum, sv): the vertex states
     entering the round, the edge layer's pre-activation, the edge filters,
     their sum into each vertex and the vertex messages. Last comes (s,), the
     vertex states leaving the last round.
     """
-    if batch.x.shape[1] != params.in_dim:
-        raise ShapeError(
-            f"vertex inputs have width {batch.x.shape[1]}, network expects {params.in_dim}"
-        )
-    src, dst = batch.edge_src, batch.edge_dst
-    s = ops.linear(ops.wrap(batch.x), ops.layer("ebd", params.ebd))
-    z = ops.wrap(batch.z0)
+    feat = batch.table.shape[1]
+    width = feat if batch.acts is None else feat + N_ACTIONS
+    if width != params.in_dim:
+        raise ShapeError(f"vertex inputs have width {width}, network expects {params.in_dim}")
+    src, dst, d, h = batch.edge_src, batch.edge_dst, params.edge_dim, params.hidden
+    ebd = ops.layer("ebd", params.ebd)
+    s = ops.gather(ops.linear(ops.wrap(batch.table), ebd, slice(0, feat)), batch.rows)
+    if batch.acts is not None:
+        act = ops.linear(ops.wrap(_ONE_HOT), ebd, slice(feat, width), bias=False)
+        s = ops.add(ops.gather(act, batch.acts), s)
+    z = ops.wrap(batch.rbf)  # round 0's edge states: one row per distinct length
     for r, rp in enumerate(params.rounds):
-        cat = ops.concat([z, ops.gather(s, src), ops.gather(s, dst)])
-        pre = ops.linear(cat, ops.layer(f"rounds.{r}.edge", rp.edge))
+        # the edge layer's input is [z, s[src], s[dst]]
+        edge = ops.layer(f"rounds.{r}.edge", rp.edge)
+        pre = ops.linear(z, edge, slice(0, d), bias=False)
+        if r == 0:
+            pre = ops.gather(pre, batch.edge_code)
+        pre = ops.add(ops.gather(ops.linear(s, edge, slice(d, d + h)), src), pre)
+        pre = ops.add(ops.gather(ops.linear(s, edge, slice(d + h, None), bias=False), dst), pre)
         z = ops.relu(pre)
         filt = ops.relu(ops.linear(z, ops.layer(f"rounds.{r}.z_rel", rp.z_rel)))
         sv = ops.linear(s, ops.layer(f"rounds.{r}.v_lin", rp.v_lin))
@@ -424,7 +472,7 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
     base = _graph_trunk(batch, params, _KeepOps(), kept).reshape(-1)
     reg = _regions(batch, len(params.rounds))
     n_pairs, alts, d, h = len(reg.row), N_ACTIONS - 1, params.edge_dim, params.hidden
-    held = batch.x[:, -N_ACTIONS:].argmax(axis=1)
+    held = batch.acts
     other = np.arange(alts) + (np.arange(alts) >= held[:, None])  # (v, 4)
     act = params.ebd.w[:, -N_ACTIONS:].T  # each action's embedding column
 

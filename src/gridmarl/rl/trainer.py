@@ -188,7 +188,8 @@ class Transitions:
     ``dec`` holds the team's acting sub-graphs, step after step, centres
     ascending. Its members index one feature table, the steps' graph tables
     joined, so a feature row is held once per agent-step however many
-    sub-graphs it belongs to; the passes gather rows as they batch. Its first
+    sub-graphs it belongs to, and the passes batch it without gathering
+    rows (see :func:`~gridmarl.nn.network.batch_subgraphs`). Its first
     ``len(self)`` sub-graphs are transitions, each with its centre's reward
     and the index of the centre's sub-graph one step later (-1 once the agent
     or the episode ended); any after them are successors only.
@@ -522,7 +523,7 @@ def sweep_values(
         rows = slice(first[part.start], first[part.stop])
         base[part], dev[rows] = critic_deviations(batch.graphs(part), critic)
     table = np.repeat(np.repeat(base, sizes)[:, None], N_ACTIONS, axis=1)
-    held = batch.x[:, -N_ACTIONS:].argmax(axis=1)
+    held = batch.acts
     # row-major order: members in order, the other actions ascending
     table[np.arange(N_ACTIONS) != held[:, None]] = dev.ravel()
     return [table[lo:hi] for lo, hi in zip(first[:-1], first[1:])]
@@ -541,6 +542,21 @@ def chunked_critic_values(
 
 
 # -- per-episode gradient computation ----------------------------------------
+
+
+def _piece_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of each consecutive piece of ``x``, ``sizes[i]`` long.
+
+    The pieces of one size are summed together as the rows of one array; a
+    row adds as the piece alone would, so each sum has the bits of
+    ``piece.sum()`` (``np.add.reduceat`` adds in another order).
+    """
+    out = np.empty(len(sizes))
+    first = np.cumsum(sizes) - sizes
+    for m in np.unique(sizes).tolist():
+        k = np.flatnonzero(sizes == m)
+        out[k] = x[first[k][:, None] + np.arange(m)].sum(axis=1)
+    return out
 
 
 def _fresh_probs(dec: Decomposition, policy: NetParams) -> np.ndarray:
@@ -635,8 +651,7 @@ def ac_episode_grads(
     reward = np.repeat(transitions.reward, own_sizes)
     deltas = reward + tcfg.gamma * vn - value[: len(succ)]
     pol = _policy_pass(transitions, deltas, policy)
-    per_transition = np.split(deltas, np.cumsum(own_sizes)[:-1])
-    cri = _critic_pass(transitions, np.array([d.sum() for d in per_transition]), critic)
+    cri = _critic_pass(transitions, _piece_sums(deltas, own_sizes), critic)
     return pol, cri
 
 

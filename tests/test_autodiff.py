@@ -8,7 +8,7 @@ from gridmarl.nn.autodiff import (
     Var,
     add,
     backward,
-    concat_cols,
+    columns,
     gather,
     leaf,
     linear,
@@ -63,12 +63,14 @@ class TestOps:
             b = rng.normal(size=2)
             seed = rng.normal(size=(4, 2))
             check_op(lambda x, w, b: linear(x, w, b), [x, w, b], seed)
+            check_op(lambda x, w: linear(x, w), [x, w], seed)
 
     def test_linear_value(self):
         rng = np.random.default_rng(1)
         x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=4)
         out = linear(leaf(x), leaf(w), leaf(b))
         np.testing.assert_allclose(out.value, x @ w.T + b)
+        np.testing.assert_allclose(linear(leaf(x), leaf(w)).value, x @ w.T)
 
     def test_linear_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -131,11 +133,31 @@ class TestOps:
         assert out.shape == (4, 3)
         assert not out.any()
 
-    def test_concat_cols(self):
+    def test_columns(self):
         rng = np.random.default_rng(6)
-        parts = [rng.normal(size=(3, k)) for k in (2, 4, 1)]
-        seed = rng.normal(size=(3, 7))
-        check_op(lambda *vs: concat_cols(vs), parts, seed)
+        w = rng.normal(size=(3, 7))
+        for cols in (slice(0, 2), slice(2, 6), slice(6, None)):
+            out = columns(leaf(w), cols)
+            assert np.array_equal(out.value, w[:, cols])
+            check_op(lambda w: columns(w, cols), [w], rng.normal(size=out.value.shape))
+
+    def test_column_blocks_give_the_whole_layer_gradient(self):
+        # a layer over [a, b] is the bias-free product of a's block plus b's
+        # with the bias: the blocks' adjoints sum to the whole weight's
+        rng = np.random.default_rng(16)
+        a, b = rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
+        w, bias = rng.normal(size=(5, 5)), rng.normal(size=5)
+        seed = rng.normal(size=(4, 5))
+        whole, wv, bv = leaf(np.concatenate([a, b], axis=1)), leaf(w.copy()), leaf(bias.copy())
+        backward(linear(whole, wv, bv), seed)
+        wl, bl = leaf(w.copy()), leaf(bias.copy())
+        split = add(
+            linear(leaf(a), columns(wl, slice(0, 2))), linear(leaf(b), columns(wl, slice(2, None)), bl)
+        )
+        backward(split, seed)
+        np.testing.assert_allclose(split.value, np.concatenate([a, b], axis=1) @ w.T + bias)
+        np.testing.assert_allclose(wl.grad, wv.grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(bl.grad, bv.grad, rtol=1e-12, atol=1e-12)
 
     def test_log_softmax(self):
         rng = np.random.default_rng(7)

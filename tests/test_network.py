@@ -1,10 +1,16 @@
 """Message-passing networks: reference forwards, gradients, invariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gridmarl import ShapeError, StaleTrace
-from gridmarl.graph import SubGraph, rbe
+from gridmarl import Scenario, ScenarioConfig, ShapeError, StaleTrace, new_scenario
+from gridmarl.graph import DEFAULT_N_MAX, VERTEX_DIM, SubGraph, build_graph, decompose, rbe
+from gridmarl.gridworld import N_ACTIONS
+from gridmarl.harness.bench import scaled_scenario
+from gridmarl.nn import autodiff as ad
+from gridmarl.nn import network
 from gridmarl.nn.params import h_lin, h_rel, vertex_update
 from gridmarl.nn.optim import adam_state
 from gridmarl.nn import (
@@ -14,6 +20,7 @@ from gridmarl.nn import (
     adam_step,
     backward,
     batch_subgraphs,
+    critic_deviations,
     critic_forward,
     critic_values,
     edge_update,
@@ -75,6 +82,49 @@ def reference_forward(sg: SubGraph, params: NetParams) -> np.ndarray:
         s = s.sum(axis=0, keepdims=True)
     hid = np.maximum(s @ params.head_rel.w.T + params.head_rel.b, 0.0)
     return hid @ params.head_lin.w.T + params.head_lin.b
+
+
+def concat_cols(parts):
+    """Column concatenation, on the tape when ``parts`` are tape values."""
+    if not isinstance(parts[0], ad.Var):
+        return np.concatenate(parts, axis=1)
+    ends = np.cumsum([p.value.shape[1] for p in parts])
+    return ad.Var(
+        np.concatenate([p.value for p in parts], axis=1),
+        parents=[(p, lambda g, lo=hi - p.value.shape[1], hi=hi: g[:, lo:hi]) for p, hi in zip(parts, ends)],
+    )
+
+
+def concat_trunk(batch, params: NetParams, ops):
+    """The trunk the long way round: the (v, f) vertex-input matrix through the
+    whole embedding, and each round's edge layer on the (e, 2h + d)
+    concatenation [z, s[src], s[dst]]. ``ops`` is a plain or recording op set
+    of the network module; the output rows are log-probabilities for a policy."""
+    # the two inputs a batch used to hold, gathered for the whole pass
+    x, z0 = batch.x, np.take(batch.rbf, batch.edge_code, axis=0)
+    src, dst = batch.edge_src, batch.edge_dst
+    s = ops.linear(ops.wrap(x), ops.layer("ebd", params.ebd))
+    z = ops.wrap(z0)
+    for r, rp in enumerate(params.rounds):
+        cat = concat_cols([z, ops.gather(s, src), ops.gather(s, dst)])
+        z = ops.relu(ops.linear(cat, ops.layer(f"rounds.{r}.edge", rp.edge)))
+        filt = ops.relu(ops.linear(z, ops.layer(f"rounds.{r}.z_rel", rp.z_rel)))
+        sv = ops.linear(s, ops.layer(f"rounds.{r}.v_lin", rp.v_lin))
+        agg = ops.mul(sv, ops.segsum(filt, dst, batch.n_vertices()))
+        lift = ops.relu(ops.linear(agg, ops.layer(f"rounds.{r}.post_rel", rp.post_rel)))
+        s = ops.add(s, ops.linear(lift, ops.layer(f"rounds.{r}.post_lin", rp.post_lin)))
+    if params.pooled:
+        s = ops.segsum(s, batch.graph_of, batch.n_graphs)
+    out = ops.linear(ops.relu(ops.linear(s, ops.layer("head_rel", params.head_rel))), ops.layer("head_lin", params.head_lin))
+    return out if params.pooled else ops.log_softmax(out)
+
+
+def concat_grads(batch, params: NetParams, seed: np.ndarray):
+    """Parameter gradients of seed . output through :func:`concat_trunk`, by path."""
+    ops = network._RecordOps()
+    out = concat_trunk(batch, params, ops)
+    ad.backward(out, seed.reshape(out.value.shape))
+    return {path: (w.grad, b.grad) for path, (w, b) in ops.leaves.items()}
 
 
 class TestForward:
@@ -154,6 +204,102 @@ class TestForward:
         sg = toy_subgraph(rng, m=3, in_dim=7)
         with pytest.raises(ShapeError):
             critic_forward(sg, np.array([1, 2]), net)
+        with pytest.raises(ShapeError):
+            batch_subgraphs([sg], joints=[np.array([1, 2])])
+
+
+def crowded_decomposition(rng, scenario: Scenario):
+    """Depth-3 sub-graphs of a small random world with about 30% of its agents
+    stacked onto another's cell."""
+    if scenario is Scenario.JUNGLE:
+        cfg = ScenarioConfig(scenario, 6, 6, agents=10, foods=2, episode_limit=6)
+    else:
+        cfg = ScenarioConfig(scenario, 6, 6, agents=5, episode_limit=6)
+    world = new_scenario(cfg, int(rng.integers(1 << 30)))
+    for a in world.agents:
+        if rng.random() < 0.3:
+            a.pos = world.agents[int(rng.integers(len(world.agents)))].pos
+    return decompose(build_graph(world), depth=3)
+
+
+def jittered_net(rng, in_dim: int, out_dim: int, rounds: int, pooled: bool) -> NetParams:
+    net = new_graph_net(rng, in_dim, 6, DEFAULT_N_MAX, out_dim, rounds, pooled=pooled)
+    for _, layer in net.layers():
+        layer.b += rng.normal(scale=0.3, size=layer.b.shape)  # keep ReLUs off their kink
+    return net
+
+
+class TestFactoredTrunk:
+    """The trunk multiplies table rows and gathers the products; the
+    concatenated-input reference gathers the inputs. Both must agree."""
+
+    def assert_grads(self, got: NetParams, want: dict):
+        for path, layer in got.layers():
+            np.testing.assert_allclose(layer.w, want[path][0], rtol=1e-10, atol=1e-10, err_msg=path)
+            np.testing.assert_allclose(layer.b, want[path][1], rtol=1e-10, atol=1e-10, err_msg=path)
+
+    @pytest.mark.parametrize("scenario", [Scenario.JUNGLE, Scenario.BATTLE])
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 3])
+    def test_matches_the_concatenated_trunk(self, scenario, rounds):
+        rng = np.random.default_rng(100 + rounds)
+        plain = network._NumpyOps()
+        for _ in range(2):
+            dec = crowded_decomposition(rng, scenario)
+            policy = jittered_net(rng, VERTEX_DIM, N_ACTIONS, rounds, pooled=False)
+            critic = jittered_net(rng, VERTEX_DIM + N_ACTIONS, 1, rounds, pooled=True)
+            joint = rng.integers(N_ACTIONS, size=int(dec.offsets[-1]))
+            forms = [
+                (batch_subgraphs(dec), batch_subgraphs(dec, joints=[joint])),
+                (batch_subgraphs(list(dec)), batch_subgraphs(list(dec), joints=np.split(joint, dec.offsets[1:-1]))),
+            ]
+            for pol_batch, cri_batch in forms:
+                want = concat_trunk(pol_batch, policy, plain)
+                np.testing.assert_allclose(policy_logprobs(pol_batch, policy)[0], want, rtol=0, atol=1e-12)
+                logp, trace = policy_logprobs(pol_batch, policy, record=True)
+                np.testing.assert_allclose(logp, want, rtol=0, atol=1e-12)
+                seed = rng.normal(size=logp.shape)
+                self.assert_grads(backward(trace, seed), concat_grads(pol_batch, policy, seed))
+
+                want = concat_trunk(cri_batch, critic, plain).reshape(-1)
+                np.testing.assert_allclose(critic_values(cri_batch, critic)[0], want, rtol=0, atol=1e-12)
+                vals, trace = critic_values(cri_batch, critic, record=True)
+                np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
+                seed = rng.normal(size=vals.shape)
+                self.assert_grads(backward(trace, seed), concat_grads(cri_batch, critic, seed))
+
+                base, dev = critic_deviations(cri_batch, critic)
+                np.testing.assert_allclose(base, want, rtol=0, atol=1e-12)
+                for j, k in enumerate(cri_batch.graph_of.tolist()):
+                    one = cri_batch.graphs(slice(k, k + 1))
+                    first = int(np.searchsorted(cri_batch.graph_of, k))
+                    others = [a for a in range(N_ACTIONS) if a != cri_batch.acts[j]]
+                    for a, got in zip(others, dev[j]):
+                        one.acts = one.acts.copy()
+                        one.acts[j - first] = a
+                        np.testing.assert_allclose(got, concat_trunk(one, critic, plain)[0, 0], rtol=0, atol=1e-12)
+
+    def test_policy_pass_allocates_well_below_the_concatenated_one(self):
+        # the first step of a greedy evaluation of A10's world scaled to 2000
+        # per team: one team's 2000 sub-graphs of depth 2 through the A10
+        # policy (hidden 8, one round); tracemalloc peaks are deterministic
+        base = ScenarioConfig(Scenario.BATTLE, 14, 14, agents=28, episode_limit=30)
+        world = new_scenario(scaled_scenario(base, 2000, limit=10), 0)
+        g = build_graph(world)
+        dec = decompose(g, 2, centres=np.flatnonzero(world.team[g.ids] == 0))
+        assert len(dec) == 2000
+        policy = new_graph_net(np.random.default_rng(0), VERTEX_DIM, 8, DEFAULT_N_MAX, N_ACTIONS, 1)
+
+        def peak(forward) -> int:
+            tracemalloc.start()
+            try:
+                forward()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        factored = peak(lambda: policy_logprobs(batch_subgraphs(dec), policy))
+        concatenated = peak(lambda: concat_trunk(batch_subgraphs(dec), policy, network._NumpyOps()))
+        assert factored <= 0.6 * concatenated, (factored, concatenated)
 
 
 class TestGradients:

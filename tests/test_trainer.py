@@ -41,6 +41,7 @@ from gridmarl.rl import trainer
 from gridmarl.rl.core import ensemble_action
 from gridmarl.rl.trainer import (
     _graph_step,
+    _piece_sums,
     ac_episode_grads,
     chunked_critic_values,
     graph_pg_episode_grads,
@@ -162,7 +163,11 @@ class TestRollout:
                 # graph, and the policy's distributions on them
                 full = decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max)
                 mine = [sg for sg in full if world.team[sg.centre] == team]
-                logp, _ = policy_logprobs(batch_subgraphs(mine), nets[team].policy)
+                # a forward's last bits follow its tables' layout, so the
+                # distributions come from the team's own decomposition, as sampled
+                own = np.flatnonzero(world.team[g.ids] == team)
+                part = decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max, centres=own)
+                logp, _ = policy_logprobs(batch_subgraphs(part), nets[team].policy)
                 probs = np.exp(logp)
                 probs /= probs.sum(axis=1, keepdims=True)
                 first = np.cumsum([0] + [sg.n_members() for sg in mine])
@@ -228,9 +233,13 @@ class TestRollout:
             # the dict-of-lists construction: every same-team sub-graph's row
             # of an agent, appended in ascending centre order
             team_of = {a.id: a.team for a in world.agents}
-            sgs = decompose(build_graph(world), tcfg.depth, ncfg.delta_d, ncfg.n_max)
+            g = build_graph(world)
+            sgs = decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max)
             mine = [sg for sg in sgs if team_of[sg.centre] == 0]
-            logp, _ = policy_logprobs(batch_subgraphs(mine), nets[0].policy)
+            # rows of the team's own decomposition, which the policy batches
+            own = np.flatnonzero(world.team[g.ids] == 0)
+            part = decompose(g, tcfg.depth, ncfg.delta_d, ncfg.n_max, centres=own)
+            logp, _ = policy_logprobs(batch_subgraphs(part), nets[0].policy)
             probs = np.exp(logp)
             probs /= probs.sum(axis=1, keepdims=True)
             dists = {}
@@ -489,6 +498,15 @@ def params_allclose(a, b, atol=1e-9):
 
 
 class TestEpisodeGrads:
+    def test_piece_sums_have_the_bits_of_each_piece_summed_alone(self):
+        # pieces past numpy's 8-wide unrolled and 128-long pairwise blocks
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            sizes = rng.integers(1, int(rng.choice([5, 40, 300])), size=int(rng.integers(1, 40)))
+            x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=int(sizes.sum()))
+            want = np.array([piece.sum() for piece in np.split(x, np.cumsum(sizes)[:-1])])
+            assert np.array_equal(_piece_sums(x, sizes), want)
+
     def setup_ac(self, seed=0):
         tcfg = TrainerConfig(algorithm="graph-ac", depth=2, gamma=0.9)
         ncfg = tiny_net_cfg()
