@@ -3,8 +3,8 @@
 Only the operations the message-passing networks actually use are provided:
 affine maps (with or without a bias), a weight's column block, ReLU,
 elementwise add/multiply, row gather, segment sum and a row-wise
-log-softmax. Every op returns a :class:`Var`
-holding the forward value plus vector-Jacobian closures back to its parents;
+log-softmax. Every op returns a :class:`Var` holding the forward value
+plus vector-Jacobian closures back to its parents;
 :func:`backward` replays them in reverse topological order and accumulates
 adjoints on the leaves. The ReLU subgradient at exactly zero is zero.
 
