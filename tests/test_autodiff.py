@@ -151,9 +151,8 @@ class TestOps:
         whole, wv, bv = leaf(np.concatenate([a, b], axis=1)), leaf(w.copy()), leaf(bias.copy())
         backward(linear(whole, wv, bv), seed)
         wl, bl = leaf(w.copy()), leaf(bias.copy())
-        split = add(
-            linear(leaf(a), columns(wl, slice(0, 2))), linear(leaf(b), columns(wl, slice(2, None)), bl)
-        )
+        left = linear(leaf(a), columns(wl, slice(0, 2)))
+        split = add(left, linear(leaf(b), columns(wl, slice(2, None)), bl))
         backward(split, seed)
         np.testing.assert_allclose(split.value, np.concatenate([a, b], axis=1) @ w.T + bias)
         np.testing.assert_allclose(wl.grad, wv.grad, rtol=1e-12, atol=1e-12)

@@ -443,7 +443,9 @@ class TestSharedTables:
         # bit for bit, the batch of a decomposition and that of its views
         def gathered(batch, name):
             # z0: each edge's radial-basis row, which the batch holds as a code
-            return np.take(batch.rbf, batch.edge_code, axis=0) if name == "z0" else getattr(batch, name)
+            if name == "z0":
+                return np.take(batch.rbf, batch.edge_code, axis=0)
+            return getattr(batch, name)
 
         rng = np.random.default_rng(43)
         for scenario in (Scenario.JUNGLE, Scenario.BATTLE):

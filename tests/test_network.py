@@ -88,11 +88,9 @@ def concat_cols(parts):
     """Column concatenation, on the tape when ``parts`` are tape values."""
     if not isinstance(parts[0], ad.Var):
         return np.concatenate(parts, axis=1)
-    ends = np.cumsum([p.value.shape[1] for p in parts])
-    return ad.Var(
-        np.concatenate([p.value for p in parts], axis=1),
-        parents=[(p, lambda g, lo=hi - p.value.shape[1], hi=hi: g[:, lo:hi]) for p, hi in zip(parts, ends)],
-    )
+    ends = np.cumsum([0] + [p.value.shape[1] for p in parts])
+    back = [lambda g, lo=lo, hi=hi: g[:, lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+    return ad.Var(np.concatenate([p.value for p in parts], axis=1), parents=list(zip(parts, back)))
 
 
 def concat_trunk(batch, params: NetParams, ops):
@@ -115,7 +113,8 @@ def concat_trunk(batch, params: NetParams, ops):
         s = ops.add(s, ops.linear(lift, ops.layer(f"rounds.{r}.post_lin", rp.post_lin)))
     if params.pooled:
         s = ops.segsum(s, batch.graph_of, batch.n_graphs)
-    out = ops.linear(ops.relu(ops.linear(s, ops.layer("head_rel", params.head_rel))), ops.layer("head_lin", params.head_lin))
+    hid = ops.relu(ops.linear(s, ops.layer("head_rel", params.head_rel)))
+    out = ops.linear(hid, ops.layer("head_lin", params.head_lin))
     return out if params.pooled else ops.log_softmax(out)
 
 
@@ -248,27 +247,29 @@ class TestFactoredTrunk:
             policy = jittered_net(rng, VERTEX_DIM, N_ACTIONS, rounds, pooled=False)
             critic = jittered_net(rng, VERTEX_DIM + N_ACTIONS, 1, rounds, pooled=True)
             joint = rng.integers(N_ACTIONS, size=int(dec.offsets[-1]))
+            views, joints = list(dec), np.split(joint, dec.offsets[1:-1])
             forms = [
                 (batch_subgraphs(dec), batch_subgraphs(dec, joints=[joint])),
-                (batch_subgraphs(list(dec)), batch_subgraphs(list(dec), joints=np.split(joint, dec.offsets[1:-1]))),
+                (batch_subgraphs(views), batch_subgraphs(views, joints=joints)),
             ]
+            close = dict(rtol=0, atol=1e-12)
             for pol_batch, cri_batch in forms:
                 want = concat_trunk(pol_batch, policy, plain)
-                np.testing.assert_allclose(policy_logprobs(pol_batch, policy)[0], want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(policy_logprobs(pol_batch, policy)[0], want, **close)
                 logp, trace = policy_logprobs(pol_batch, policy, record=True)
-                np.testing.assert_allclose(logp, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(logp, want, **close)
                 seed = rng.normal(size=logp.shape)
                 self.assert_grads(backward(trace, seed), concat_grads(pol_batch, policy, seed))
 
                 want = concat_trunk(cri_batch, critic, plain).reshape(-1)
-                np.testing.assert_allclose(critic_values(cri_batch, critic)[0], want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(critic_values(cri_batch, critic)[0], want, **close)
                 vals, trace = critic_values(cri_batch, critic, record=True)
-                np.testing.assert_allclose(vals, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(vals, want, **close)
                 seed = rng.normal(size=vals.shape)
                 self.assert_grads(backward(trace, seed), concat_grads(cri_batch, critic, seed))
 
                 base, dev = critic_deviations(cri_batch, critic)
-                np.testing.assert_allclose(base, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(base, want, **close)
                 for j, k in enumerate(cri_batch.graph_of.tolist()):
                     one = cri_batch.graphs(slice(k, k + 1))
                     first = int(np.searchsorted(cri_batch.graph_of, k))
@@ -276,7 +277,7 @@ class TestFactoredTrunk:
                     for a, got in zip(others, dev[j]):
                         one.acts = one.acts.copy()
                         one.acts[j - first] = a
-                        np.testing.assert_allclose(got, concat_trunk(one, critic, plain)[0, 0], rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(got, concat_trunk(one, critic, plain)[0, 0], **close)
 
     def test_policy_pass_allocates_well_below_the_concatenated_one(self):
         # the first step of a greedy evaluation of A10's world scaled to 2000
