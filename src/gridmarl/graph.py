@@ -18,16 +18,18 @@ than an object per sub-graph. An agent belongs to several sub-graphs, so its
 feature row is stored once: the decomposition shares the graph's feature
 table, and each member holds its row index into it. The members of all
 sub-graphs are concatenated centre after centre, and ``offsets`` marks where
-each sub-graph starts. The edges are concatenated the same way, with
-``edge_offsets``: endpoints as member slots local to their sub-graph, then a
-code per edge into the few distinct lengths that occur and their
+each sub-graph starts; each member also keeps its hop from its centre. The
+edges are concatenated the same way, with ``edge_offsets``: endpoints as
+member slots local to their sub-graph, then each edge's entry among the
+graph's directed edges, which the decomposition shares like the table, with
+a code per graph edge into the few distinct lengths that occur and their
 radial-basis rows. A batch shares these tables too, and a batched forward
 multiplies their rows and gathers the products; ``dec[i]`` gives sub-graph
 i as a :class:`SubGraph` view, its rows gathered, for code that handles one
-sub-graph at a time. The chosen
-centres are searched at once, level by level, over the graph's adjacency in
-compressed sparse rows; a rollout decomposes each acting team's centres on
-their own, and the parts of one step share its graph's table.
+sub-graph at a time. The chosen centres are searched at once, level by
+level, over the graph's adjacency in compressed sparse rows; a rollout
+decomposes each acting team's centres on their own, and the parts of one
+step share its graph's table and edges.
 """
 
 from __future__ import annotations
@@ -140,7 +142,10 @@ class EnvGraph:
     ``edges`` holds each undirected pair once as (u, v) local indices with
     u < v. The adjacency follows from them in compressed sparse rows: the
     neighbours of local index u are ``nbrs[indptr[u]:indptr[u + 1]]``,
-    ascending, and ``nbr_dist`` holds the matching edge lengths.
+    ascending. Each adjacency entry a is a directed edge ``nbr_src[a]`` ->
+    ``nbrs[a]`` of length ``lengths[nbr_code[a]]``, ``lengths`` being the
+    few distinct lengths that occur; ``nbr_rev[a]`` is the entry of the
+    same pair the other way round.
     """
 
     ids: np.ndarray        # (n,) agent ids, ascending
@@ -149,16 +154,25 @@ class EnvGraph:
     dists: np.ndarray      # (e,) Euclidean lengths
     indptr: np.ndarray = field(init=False)    # (n + 1,)
     nbrs: np.ndarray = field(init=False)      # (2e,) local indices
-    nbr_dist: np.ndarray = field(init=False)  # (2e,)
+    nbr_src: np.ndarray = field(init=False)   # (2e,) local indices, ascending
+    nbr_rev: np.ndarray = field(init=False)   # (2e,) entries
+    nbr_code: np.ndarray = field(init=False)  # (2e,) rows of lengths
+    lengths: np.ndarray = field(init=False)   # (L,) distinct edge lengths, ascending
 
     def __post_init__(self) -> None:
-        n = len(self.ids)
+        n, e = len(self.ids), len(self.edges)
         u, v = self.edges[:, 0], self.edges[:, 1]
         src, dst = np.concatenate([u, v]), np.concatenate([v, u])
         order = np.argsort(src * n + dst)
         self.indptr = _offsets(np.bincount(src, minlength=n))
         self.nbrs = dst[order]
-        self.nbr_dist = np.concatenate([self.dists, self.dists])[order]
+        self.nbr_src = src[order]
+        entry = np.empty(2 * e, dtype=np.int64)
+        entry[order] = np.arange(2 * e)
+        self.nbr_rev = entry[(order + e) % max(2 * e, 1)]
+        # a radial-basis row depends on its length alone, and a grid has few lengths
+        self.lengths, code = np.unique(self.dists, return_inverse=True)
+        self.nbr_code = np.concatenate([code, code])[order]
 
     def n_vertices(self) -> int:
         return len(self.ids)
@@ -235,36 +249,49 @@ class Decomposition:
     """The sub-graphs of one graph's chosen centres, stored as concatenated arrays.
 
     Sub-graph i is centred on agent ``centres[i]``. Its members are rows
-    ``offsets[i]:offsets[i + 1]`` of ``members`` and ``rows``; a member's
-    feature row is ``table[rows[k]]``, ``table`` being the graph's feature
-    table, shared and never copied. Its edges are rows
+    ``offsets[i]:offsets[i + 1]`` of ``members``, ``rows`` and ``hop``; a
+    member's feature row is ``table[rows[k]]``, ``table`` being the graph's
+    feature table, shared and never copied, and ``hop[k]`` is its
+    breadth-first level. Its edges are rows
     ``edge_offsets[i]:edge_offsets[i + 1]`` of the edge arrays, whose
-    ``edge_src``/``edge_dst`` index the sub-graph's own member list; an
-    edge's length is ``lengths[edge_code[e]]`` and its radial-basis row
-    ``rbf[edge_code[e]]``. ``len``, iteration and ``dec[i]`` give
-    :class:`SubGraph` views.
+    ``edge_src``/``edge_dst`` index the sub-graph's own member list. The
+    graph's directed edges run from table row ``graph_src[a]`` to
+    ``graph_dst[a]`` (the graph's adjacency entries, shared like the table),
+    with length ``lengths[graph_code[a]]`` and radial-basis row
+    ``rbf[graph_code[a]]``; an edge of a sub-graph is the graph edge
+    ``edge_adj[e]``, and its code is :attr:`edge_code`. ``len``, iteration
+    and ``dec[i]`` give :class:`SubGraph` views.
     """
 
     centres: np.ndarray       # (s,) agent ids
     members: np.ndarray       # (M,) agent ids, sub-graph after sub-graph
     rows: np.ndarray          # (M,) each member's row of table
+    hop: np.ndarray           # (M,) each member's hops from its centre
     table: np.ndarray         # (n, VERTEX_DIM) vertex features
     offsets: np.ndarray       # (s + 1,)
     edge_src: np.ndarray      # (E,) member slots within the sub-graph
     edge_dst: np.ndarray      # (E,)
-    edge_code: np.ndarray     # (E,) each edge's row of lengths and rbf
+    edge_adj: np.ndarray      # (E,) each edge's graph edge
     lengths: np.ndarray       # (L,) edge lengths
     rbf: np.ndarray           # (L, n_max) their radial-basis rows
     edge_offsets: np.ndarray  # (s + 1,)
+    graph_src: np.ndarray     # (A,) the graph's directed edges as table rows, ascending
+    graph_dst: np.ndarray     # (A,)
+    graph_code: np.ndarray    # (A,) each graph edge's row of lengths and rbf
     depth: int
 
     def __len__(self) -> int:
         return len(self.centres)
 
+    @property
+    def edge_code(self) -> np.ndarray:
+        """(E,) each edge's row of lengths and rbf."""
+        return self.graph_code[self.edge_adj]
+
     def __getitem__(self, i: int) -> SubGraph:
         lo, hi = self.offsets[i], self.offsets[i + 1]
         elo, ehi = self.edge_offsets[i], self.edge_offsets[i + 1]
-        code = self.edge_code[elo:ehi]
+        code = self.graph_code[self.edge_adj[elo:ehi]]
         return SubGraph(
             centre=int(self.centres[i]),
             members=self.members[lo:hi],
@@ -286,17 +313,24 @@ class Decomposition:
     def concat(parts: Sequence[Decomposition]) -> Decomposition:
         """The sub-graphs of ``parts``, one part after another, as one decomposition.
 
-        The parts' tables are joined, and each part's row indices and edge
-        codes shift by the rows of the tables before its own.
+        The parts' tables and graph edges are joined, and each part's row
+        indices, length codes and graph edges shift by the rows, lengths and
+        graph edges of the parts before its own.
         """
+
+        def shifted(name: str, by: np.ndarray) -> np.ndarray:
+            return np.concatenate([getattr(p, name) + f for p, f in zip(parts, by)])
+
         first_row = _offsets([len(p.table) for p in parts])
         first_code = _offsets([len(p.lengths) for p in parts])
-        arrays = ("centres", "members", "table", "edge_src", "edge_dst", "lengths", "rbf")
+        first_adj = _offsets([len(p.graph_src) for p in parts])
+        arrays = ("centres", "members", "hop", "table", "edge_src", "edge_dst", "lengths", "rbf")
         return Decomposition(
             **{name: np.concatenate([getattr(p, name) for p in parts]) for name in arrays},
-            rows=np.concatenate([p.rows + f for p, f in zip(parts, first_row)]),
+            **{name: shifted(name, first_row) for name in ("rows", "graph_src", "graph_dst")},
+            graph_code=shifted("graph_code", first_code),
+            edge_adj=shifted("edge_adj", first_adj),
             offsets=_offsets(np.concatenate([p.sizes() for p in parts])),
-            edge_code=np.concatenate([p.edge_code + c for p, c in zip(parts, first_code)]),
             edge_offsets=_offsets(np.concatenate([np.diff(p.edge_offsets) for p in parts])),
             depth=parts[0].depth,
         )
@@ -316,10 +350,11 @@ def decompose(
     (centre, vertex) pair is keyed centre * n + vertex; each breadth-first
     level expands the previous level's pairs over the adjacency rows and
     keeps the unique keys not reached before, so a level comes out in
-    ascending vertex order per centre. An induced edge is a member's
-    neighbour that is a member of the same sub-graph at a later slot, found
-    by a sorted search of the member keys; it is listed by source slot, then
-    by ascending neighbour, each pair as (k, j) then (j, k).
+    ascending vertex order per centre; a member's level is its ``hop``. An
+    induced edge is a member's neighbour that is a member of the same
+    sub-graph at a later slot, found by a sorted search of the member keys;
+    it is listed by source slot, then by ascending neighbour, each pair as
+    (k, j) then (j, k), and keeps the adjacency entries it was found at.
     """
     if depth < 1:
         raise DomainError(f"depth must be at least 1, got {depth}")
@@ -351,7 +386,9 @@ def decompose(
         seen = np.sort(np.concatenate([seen, level]), kind="stable")
 
     keys = np.concatenate(levels)
-    keys = keys[np.argsort(keys // n, kind="stable")]  # by centre, then level
+    hop = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
+    by_centre = np.argsort(keys // n, kind="stable")  # by centre, then level
+    keys, hop = keys[by_centre], hop[by_centre]
     centre, vertex = keys // n, keys % n
     offsets = _offsets(np.bincount(centre, minlength=s))
     slot = np.arange(len(keys)) - offsets[centre]
@@ -362,19 +399,22 @@ def decompose(
     hit = by_key[np.minimum(np.searchsorted(keys, want, sorter=by_key), len(keys) - 1)]
     keep = (keys[hit] == want) & (slot[hit] > slot[row_of])
     k, j = slot[row_of[keep]], slot[hit[keep]]
-    # a radial-basis row depends on its length alone, and a grid has few lengths
-    lengths, code = np.unique(g.nbr_dist[adj[keep]], return_inverse=True)
+    adj = adj[keep]
     return Decomposition(
         centres=g.ids[chosen],
         members=g.ids[vertex],
         rows=vertex,
+        hop=hop,
         table=g.features,
         offsets=offsets,
         edge_src=np.stack([k, j], axis=1).ravel(),
         edge_dst=np.stack([j, k], axis=1).ravel(),
-        edge_code=np.repeat(code, 2),
-        lengths=lengths,
-        rbf=_rbe_rows(lengths, delta_d, n_max),
+        edge_adj=np.stack([adj, g.nbr_rev[adj]], axis=1).ravel(),
+        lengths=g.lengths,
+        rbf=_rbe_rows(g.lengths, delta_d, n_max),
         edge_offsets=_offsets(2 * np.bincount(centre[row_of[keep]], minlength=s)),
+        graph_src=g.nbr_src,
+        graph_dst=g.nbrs,
+        graph_code=g.nbr_code,
         depth=depth,
     )

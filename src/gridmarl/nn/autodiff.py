@@ -91,18 +91,23 @@ def mul(a: Var, b: Var) -> Var:
     return Var(av * bv, parents=((a, lambda g: g * bv), (b, lambda g: g * av)))
 
 
-def scatter_rows(x: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+def scatter_rows(
+    x: np.ndarray, seg: np.ndarray, n: int, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
     """(n, d) array whose row k sums the rows i of ``x`` with seg[i] == k.
 
     Same result, bit for bit, as ``np.add.at`` into zeros: each column is
     one weighted ``np.bincount``, which also adds from 0.0 in index order,
     only several times faster. The result is float64 even when ``seg`` is
-    empty, where ``np.bincount`` counts in int64.
+    empty, where ``np.bincount`` counts in int64. With ``rows``, the rows
+    summed are ``x[rows]``, gathered one column at a time.
     """
     if len(seg) and (seg.min() < 0 or seg.max() >= n):
         raise IndexError(f"segment ids must lie in [0, {n})")
-    cols = [np.bincount(seg, weights=x[:, k], minlength=n) for k in range(x.shape[1])]
-    return np.stack(cols, axis=1, dtype=np.float64) if cols else np.zeros((n, 0))
+    out = np.empty((n, x.shape[1]))
+    for k in range(x.shape[1]):
+        out[:, k] = np.bincount(seg, weights=x[:, k] if rows is None else x[rows, k], minlength=n)
+    return out
 
 
 def gather(x: Var, idx: np.ndarray) -> Var:

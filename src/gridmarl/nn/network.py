@@ -7,8 +7,17 @@ rows, directed edge index arrays offset per sub-graph, and a
 vertex-to-sub-graph map for the critic's sum pooling. Every linear layer
 runs on the fewest rows its input depends on and its outputs are gathered:
 the embedding multiplies each table row once, the first edge layer each
-distinct edge length once and each vertex state once per endpoint role. The
-same forward routine runs in two modes sharing one code path: plain numpy
+distinct edge length once and each vertex state once per endpoint role.
+
+A policy batch of a decomposition shares more: an agent is the centre of its
+own sub-graph and a member of its neighbours', and sub-graphs are induced
+balls, so a member far enough inside its sub-graph has the state it has in
+the whole graph. Its forward runs the rounds once over the step graphs, then
+only over each sub-graph's shell, the members whose neighbourhood the depth
+cut truncates, and gathers each member row's output (:func:`_trunk`). The
+critic's passes evaluate every sub-graph on its own.
+
+The same forward routine runs in two modes sharing one code path: plain numpy
 (sampling, baseline sweeps) and recorded (builds an autodiff graph whose
 :func:`backward` yields parameter gradients). A baseline sweep
 (:func:`critic_deviations`) keeps the plain pass's states and patches them
@@ -40,6 +49,50 @@ _ONE_HOT = np.eye(N_ACTIONS)
 
 
 @dataclass
+class Shared:
+    """The graphs that a policy batch's sub-graphs were cut from.
+
+    Vertex row v of the batch lies ``hop[v]`` hops from its sub-graph's
+    centre, within ``depth``; edge e of the batch is graph edge
+    ``edge_adj[e]``. The graphs' vertices are the table rows
+    ``first:first + n``; graph edge a runs from vertex ``src[a]`` to vertex
+    ``dst[a]`` (``src`` ascending, vertices counted from ``first``) and has
+    radial-basis row ``rbf[code[a]]``.
+    """
+
+    depth: int
+    hop: np.ndarray       # (v,)
+    edge_adj: np.ndarray  # (e,)
+    first: int
+    n: int
+    src: np.ndarray       # (a,)
+    dst: np.ndarray       # (a,)
+    code: np.ndarray      # (a,)
+
+    def cut(self, rows: np.ndarray, lo: int, hi: int, elo: int, ehi: int) -> Shared:
+        """The part of vertex rows ``lo:hi``, whose table rows are ``rows``, and
+        edges ``elo:ehi``: the graph vertices those rows span and the graph
+        edges among them.
+
+        A graph the span cuts in two loses its edges that leave the span,
+        and so do the states of its vertices near the cut; but those are no
+        interior row's, since an interior row's neighbours within the
+        network's rounds are rows of its own sub-graph, inside the span.
+        """
+        span = (int(rows.min()), int(rows.max()) + 1) if len(rows) else (self.first, self.first)
+        v0, v1 = span[0] - self.first, span[1] - self.first
+        a0, a1 = np.searchsorted(self.src, [v0, v1])
+        src, dst, code = self.src[a0:a1] - v0, self.dst[a0:a1] - v0, self.code[a0:a1]
+        adj = self.edge_adj[elo:ehi] - a0
+        inside = dst >= 0
+        inside &= dst < v1 - v0
+        if not inside.all():
+            src, dst, code = src[inside], dst[inside], code[inside]
+            adj = (np.cumsum(inside) - 1)[adj]
+        return Shared(self.depth, self.hop[lo:hi], adj, self.first + v0, v1 - v0, src, dst, code)
+
+
+@dataclass
 class GraphBatch:
     """A disjoint union of sub-graphs, flattened for batched passes.
 
@@ -48,6 +101,12 @@ class GraphBatch:
     The tables are shared with what the batch was built from and with the
     batches :meth:`graphs` cuts from it: nothing gathers their rows but
     :attr:`x`, which no forward reads.
+
+    A policy batch of a decomposition also holds the graphs its sub-graphs
+    were cut from (``shared``), and its forward runs the trunk once over
+    them and then over each sub-graph's shell only (:func:`_trunk`). The
+    vertex rows, :attr:`x` and :meth:`n_vertices` still count one row per
+    (sub-graph, member), and the forward's outputs keep that shape.
     """
 
     table: np.ndarray           # (n, f) vertex feature rows
@@ -59,6 +118,7 @@ class GraphBatch:
     edge_dst: np.ndarray        # (e,)
     graph_of: np.ndarray        # (v,) owning sub-graph per vertex
     n_graphs: int
+    shared: Optional[Shared] = None
     regions: Optional[_Regions] = field(default=None, repr=False)  # kept by _regions
 
     @property
@@ -81,9 +141,10 @@ class GraphBatch:
         sharing this batch's tables."""
         lo, hi = np.searchsorted(self.graph_of, [part.start, part.stop])
         elo, ehi = np.searchsorted(self.graph_of[self.edge_src], [part.start, part.stop])
+        rows = self.rows[lo:hi]
         return GraphBatch(
             table=self.table,
-            rows=self.rows[lo:hi],
+            rows=rows,
             acts=None if self.acts is None else self.acts[lo:hi],
             rbf=self.rbf,
             edge_code=self.edge_code[elo:ehi],
@@ -91,6 +152,7 @@ class GraphBatch:
             edge_dst=self.edge_dst[elo:ehi] - lo,
             graph_of=self.graph_of[lo:hi] - part.start,
             n_graphs=part.stop - part.start,
+            shared=None if self.shared is None else self.shared.cut(rows, lo, hi, elo, ehi),
             regions=None if self.regions is None else self.regions.rows(lo, hi, elo, ehi),
         )
 
@@ -107,12 +169,17 @@ def batch_subgraphs(
     ``joints`` (action vectors that, joined, hold one action per member row:
     one per sub-graph, or one for a whole decomposition) each vertex also
     holds an action, which enters as a one-hot input block: the critic's
-    input layout. Plain vertex features otherwise: the policy's.
+    input layout. Plain vertex features otherwise: the policy's, and then a
+    decomposition's batch also holds its graphs (:class:`Shared`).
     """
+    shared = None
     if isinstance(sgs, Decomposition):
         sizes, n_edges = sgs.sizes(), np.diff(sgs.edge_offsets)
         table, rows, rbf, code = sgs.table, sgs.rows, sgs.rbf, sgs.edge_code
         src, dst = sgs.edge_src, sgs.edge_dst
+        if joints is None:
+            graphs = (sgs.graph_src, sgs.graph_dst, sgs.graph_code)
+            shared = Shared(sgs.depth, sgs.hop, sgs.edge_adj, 0, len(table), *graphs)
     else:
         sizes = np.array([sg.n_members() for sg in sgs], dtype=np.int64)
         n_edges = np.array([len(sg.edge_src) for sg in sgs], dtype=np.int64)
@@ -138,6 +205,59 @@ def batch_subgraphs(
         edge_dst=dst + shift,
         graph_of=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
         n_graphs=len(sizes),
+        shared=shared,
+    )
+
+
+@dataclass
+class _Trunk:
+    """The vertices and edges that one forward evaluates, and how the batch reads them.
+
+    Trunk vertex u embeds table row ``rows[u]``; trunk edge t runs from
+    ``src[t]`` to ``dst[t]``. Round 0's edge layer runs on the first
+    ``len(code)`` edges, with radial-basis rows ``rbf[code]``; with
+    ``round0`` every trunk edge reads its round-0 output from edge
+    ``round0[t]`` among them. Vertex row v of the batch reads trunk vertex
+    ``out[v]``, or trunk vertex v when ``out`` is None.
+    """
+
+    rows: np.ndarray                # (u,)
+    src: np.ndarray                 # (t,)
+    dst: np.ndarray                 # (t,)
+    code: np.ndarray                # (t0,)
+    round0: Optional[np.ndarray]    # (t,) or None
+    out: Optional[np.ndarray]       # (v,) or None
+
+
+def _trunk(batch: GraphBatch, rounds: int) -> _Trunk:
+    """What a forward of ``rounds`` rounds evaluates.
+
+    Without a shared part (or with no interior row) the trunk is the batch:
+    each sub-graph on its own. With one, the rounds run once over the graphs
+    and then over each sub-graph's shell, the rows whose neighbourhood the
+    depth cut truncates. This is exact because sub-graphs are induced balls:
+    a row at hop h <= depth - rounds has every vertex and edge within
+    ``rounds`` hops of it in its sub-graph, so its output is its graph
+    vertex's. A shell row (h > depth - rounds) gets its sub-graph's in-edges,
+    from shell rows or from graph vertices, which are interior rows' states.
+    Round 0's edge outputs depend on the endpoints' embeddings only, the same
+    in every sub-graph, so a shell edge reads its graph edge's.
+    """
+    sh, rows = batch.shared, batch.rows
+    shell = None if sh is None else sh.hop > sh.depth - rounds
+    if shell is None or shell.all():
+        return _Trunk(rows, batch.edge_src, batch.edge_dst, batch.edge_code, None, None)
+    # each row's trunk vertex: its graph vertex, or a shell vertex of its own
+    vertex = rows - sh.first
+    vertex[shell] = sh.n + np.arange(np.count_nonzero(shell))
+    into = shell[batch.edge_dst]  # the sub-graph edges into shell rows
+    return _Trunk(
+        rows=np.concatenate([np.arange(sh.first, sh.first + sh.n), rows[shell]]),
+        src=np.concatenate([sh.src, vertex[batch.edge_src[into]]]),
+        dst=np.concatenate([sh.dst, vertex[batch.edge_dst[into]]]),
+        code=sh.code,
+        round0=np.concatenate([np.arange(len(sh.code)), sh.edge_adj[into]]),
+        out=vertex,
     )
 
 
@@ -177,8 +297,8 @@ class _NumpyOps:
     def gather(self, x, idx):
         return np.take(x, idx, axis=0)
 
-    def segsum(self, x, seg, n):
-        return ad.scatter_rows(x, seg, n)
+    def segsum(self, x, seg, n, rows=None):
+        return ad.scatter_rows(x, seg, n, rows)
 
     def log_softmax(self, x):
         shifted = x - x.max(axis=1, keepdims=True)
@@ -229,8 +349,8 @@ class _RecordOps:
     def gather(self, x, idx):
         return ad.gather(x, idx)
 
-    def segsum(self, x, seg, n):
-        return ad.segment_sum(x, seg, n)
+    def segsum(self, x, seg, n, rows=None):
+        return ad.segment_sum(x if rows is None else ad.gather(x, rows), seg, n)
 
     def log_softmax(self, x):
         return ad.log_softmax(x)
@@ -247,18 +367,27 @@ def _graph_trunk(batch: GraphBatch, params: NetParams, ops, keep: Optional[list]
     rows of the distinct edge lengths. No vertex-input matrix and no edge
     concatenation is built.
 
-    Per round ``keep`` receives (s, pre, filt, fsum, sv): the vertex states
+    The rounds run over the batch's trunk (:func:`_trunk`): its sub-graphs,
+    or for a policy batch of a decomposition its graphs and their shells.
+    There a trunk edge's round-0 filter enters the vertex sums straight
+    from its round-0 edge, and the head's rows are gathered per vertex row;
+    in a recorded pass that gather's adjoint sums the coefficients of every
+    row that reads one trunk vertex.
+
+    Per round ``keep`` receives [s, pre, filt, fsum, sv]: the vertex states
     entering the round, the edge layer's pre-activation, the edge filters,
     their sum into each vertex and the vertex messages. Last comes (s,), the
-    vertex states leaving the last round.
+    vertex states leaving the last round. Only a batch whose trunk is its
+    sub-graphs is kept.
     """
     feat = batch.table.shape[1]
     width = feat if batch.acts is None else feat + N_ACTIONS
     if width != params.in_dim:
         raise ShapeError(f"vertex inputs have width {width}, network expects {params.in_dim}")
-    src, dst, d, h = batch.edge_src, batch.edge_dst, params.edge_dim, params.hidden
+    n_rounds, d, h = len(params.rounds), params.edge_dim, params.hidden
+    lay = _trunk(batch, n_rounds)
     ebd = ops.layer("ebd", params.ebd)
-    s = ops.gather(ops.linear(ops.wrap(batch.table), ebd, slice(0, feat)), batch.rows)
+    s = ops.gather(ops.linear(ops.wrap(batch.table), ebd, slice(0, feat)), lay.rows)
     if batch.acts is not None:
         act = ops.linear(ops.wrap(_ONE_HOT), ebd, slice(feat, width), bias=False)
         s = ops.add(ops.gather(act, batch.acts), s)
@@ -267,26 +396,40 @@ def _graph_trunk(batch: GraphBatch, params: NetParams, ops, keep: Optional[list]
         # the edge layer's input is [z, s[src], s[dst]]
         edge = ops.layer(f"rounds.{r}.edge", rp.edge)
         pre = ops.linear(z, edge, slice(0, d), bias=False)
+        src, dst = lay.src, lay.dst
         if r == 0:
-            pre = ops.gather(pre, batch.edge_code)
+            pre = ops.gather(pre, lay.code)
+            src, dst = src[: len(lay.code)], dst[: len(lay.code)]
         pre = ops.add(ops.gather(ops.linear(s, edge, slice(d, d + h)), src), pre)
         pre = ops.add(ops.gather(ops.linear(s, edge, slice(d + h, None), bias=False), dst), pre)
         z = ops.relu(pre)
         filt = ops.relu(ops.linear(z, ops.layer(f"rounds.{r}.z_rel", rp.z_rel)))
-        sv = ops.linear(s, ops.layer(f"rounds.{r}.v_lin", rp.v_lin))
+        # with round0, each trunk edge reads its round-0 outputs from its round-0 edge
+        shared = lay.round0 if r == 0 else None
+        if r + 1 == n_rounds:
+            z = None  # no round reads the last edge states
+        elif shared is not None:
+            z = ops.gather(z, shared)
         # sum_e sv[dst_e] * filt_e over the edges into v is sv[v] * sum_e filt_e
-        fsum = ops.segsum(filt, dst, batch.n_vertices())
+        fsum = ops.segsum(filt, lay.dst, len(lay.rows), shared)
         if keep is not None:
-            keep.append((s, pre, filt, fsum, sv))
+            keep.append([s, pre, filt, fsum])
+        del pre, filt  # each temporary is released once nothing reads it
+        sv = ops.linear(s, ops.layer(f"rounds.{r}.v_lin", rp.v_lin))
+        if keep is not None:
+            keep[-1].append(sv)
         agg = ops.mul(sv, fsum)
         lift = ops.relu(ops.linear(agg, ops.layer(f"rounds.{r}.post_rel", rp.post_rel)))
+        del sv, fsum, agg
         s = ops.add(s, ops.linear(lift, ops.layer(f"rounds.{r}.post_lin", rp.post_lin)))
+        del lift
     if keep is not None:
         keep.append((s,))
     if params.pooled:
         s = ops.segsum(s, batch.graph_of, batch.n_graphs)
     hid = ops.relu(ops.linear(s, ops.layer("head_rel", params.head_rel)))
-    return ops.linear(hid, ops.layer("head_lin", params.head_lin))
+    out = ops.linear(hid, ops.layer("head_lin", params.head_lin))
+    return out if lay.out is None else ops.gather(out, lay.out)
 
 
 def _mlp_trunk(x, params: MlpParams, ops):

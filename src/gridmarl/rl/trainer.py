@@ -276,8 +276,8 @@ def _graph_step(
         dec = decompose(
             g, tcfg.depth, ncfg.delta_d, ncfg.n_max, centres=np.flatnonzero(centre_team == team)
         )
-        logp, _ = policy_logprobs(batch_subgraphs(dec), nets[team].policy)
-        p = np.exp(logp)
+        # no name holds the log-probabilities through the next team's forward
+        p = np.exp(policy_logprobs(batch_subgraphs(dec), nets[team].policy)[0])
         p /= p.sum(axis=1, keepdims=True)
         parts[team] = (dec, p)
         own = team_of[dec.members] == team
@@ -336,6 +336,7 @@ def rollout_graph(
             steps.append(sd)
         if on_step is not None:
             on_step(sd)
+        del sd  # uncollected, a step's record is released before the next step runs
     stats = _episode_stats(world, agent_returns, n_steps, n_sub, size_sum)
     return EpisodeResult(steps=steps if collect else None, flat=None, stats=stats)
 
@@ -437,8 +438,8 @@ def team_transitions(steps: Sequence[StepData], team_of: np.ndarray, team: int) 
     if not parts:  # the team never acted: an empty record
         ids, reals, start = np.empty(0, dtype=np.int64), np.empty(0), np.zeros(1, dtype=np.int64)
         dec = Decomposition(
-            ids, ids, ids, np.empty((0, VERTEX_DIM)), start, ids, ids, ids, reals,
-            np.empty((0, 0)), start, 0,
+            ids, ids, ids, ids, np.empty((0, VERTEX_DIM)), start, ids, ids, ids, reals,
+            np.empty((0, 0)), start, ids, ids, ids, 0,
         )
         return Transitions(dec, ids, np.empty((0, N_ACTIONS)), ids, ids, reals, ids)
     dec = Decomposition.concat(parts)

@@ -430,6 +430,20 @@ class TestSharedTables:
                     g = graphs[gi]
                     own = int(np.searchsorted(g.ids, member))
                     assert np.array_equal(dec.table[dec.rows[k]], g.features[own])
+                # hops, graph edges and their codes shift with the tables
+                assert np.array_equal(dec.hop, np.concatenate([p.hop for p in parts]))
+                first_row = np.cumsum([0] + [g.n_vertices() for g in graphs])
+                first_adj = np.cumsum([0] + [len(g.nbrs) for g in graphs])
+                for name, own in (("graph_src", "nbr_src"), ("graph_dst", "nbrs")):
+                    want = [getattr(g, own) + f for g, f in zip(graphs, first_row)]
+                    assert np.array_equal(getattr(dec, name), np.concatenate(want)), name
+                want = [g.lengths[g.nbr_code] for g in graphs]
+                assert np.array_equal(dec.lengths[dec.graph_code], np.concatenate(want))
+                want = [p.edge_adj + f for p, f in zip(parts, first_adj)]
+                assert np.array_equal(dec.edge_adj, np.concatenate(want))
+                first = np.repeat(dec.offsets[:-1], np.diff(dec.edge_offsets))  # per edge
+                assert np.array_equal(dec.graph_src[dec.edge_adj], dec.rows[first + dec.edge_src])
+                assert np.array_equal(dec.graph_dst[dec.edge_adj], dec.rows[first + dec.edge_dst])
                 # every sub-graph reads as it did in its own part
                 views = [sg for p in parts for sg in p]
                 assert len(dec) == len(views)
@@ -438,6 +452,42 @@ class TestSharedTables:
                         x, y = getattr(got, name), getattr(want, name)
                         assert x.dtype == y.dtype and x.shape == y.shape, name
                         assert np.array_equal(x, y), name
+
+    def test_hops_and_graph_edges_match_a_bfs_and_the_graph(self):
+        rng = np.random.default_rng(47)
+        tried = 0
+        for scenario in (Scenario.JUNGLE, Scenario.BATTLE):
+            for _ in range(15):
+                g = build_graph(stacked_world(rng, scenario))
+                n = g.n_vertices()
+                # each adjacency entry's reverse is the same pair the other way round
+                assert np.array_equal(g.nbr_src, np.repeat(np.arange(n), np.diff(g.indptr)))
+                assert np.array_equal(g.nbr_src[g.nbr_rev], g.nbrs)
+                assert np.array_equal(g.nbrs[g.nbr_rev], g.nbr_src)
+                assert np.array_equal(g.nbr_rev[g.nbr_rev], np.arange(len(g.nbrs)))
+                # each entry's length is its pair's
+                pair = np.minimum(g.nbr_src, g.nbrs) * n + np.maximum(g.nbr_src, g.nbrs)
+                by_pair = dict(zip((g.edges[:, 0] * n + g.edges[:, 1]).tolist(), g.dists.tolist()))
+                assert g.lengths[g.nbr_code].tolist() == [by_pair[p] for p in pair.tolist()]
+                for k in (1, 2, 3):
+                    centres = np.flatnonzero(rng.random(n) < 0.6)
+                    dec = decompose(g, k, centres=centres)
+                    # the graph's edges and lengths are shared, not copied
+                    assert dec.graph_src is g.nbr_src and dec.graph_dst is g.nbrs
+                    assert dec.graph_code is g.nbr_code and dec.lengths is g.lengths
+                    for i, c in enumerate(centres.tolist()):
+                        lo, hi = dec.offsets[i], dec.offsets[i + 1]
+                        dist = hop_distances(n, g.edges.tolist(), c)
+                        assert dec.hop.dtype == np.int64
+                        rows = dec.rows[lo:hi]
+                        assert dec.hop[lo:hi].tolist() == [dist[v] for v in rows.tolist()]
+                        elo, ehi = dec.edge_offsets[i], dec.edge_offsets[i + 1]
+                        adj = dec.edge_adj[elo:ehi]
+                        assert np.array_equal(g.nbr_src[adj], rows[dec.edge_src[elo:ehi]])
+                        assert np.array_equal(g.nbrs[adj], rows[dec.edge_dst[elo:ehi]])
+                        assert np.array_equal(dec.edge_code[elo:ehi], dec.graph_code[adj])
+                        tried += 1
+        assert tried > 100
 
     def test_batch_gathers_as_the_views_do(self):
         # bit for bit, the batch of a decomposition and that of its views

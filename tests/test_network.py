@@ -1,11 +1,12 @@
 """Message-passing networks: reference forwards, gradients, invariances."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gridmarl import Scenario, ScenarioConfig, ShapeError, StaleTrace, new_scenario
+from gridmarl import Position, Scenario, ScenarioConfig, ShapeError, StaleTrace, new_scenario
 from gridmarl.graph import DEFAULT_N_MAX, VERTEX_DIM, SubGraph, build_graph, decompose, rbe
 from gridmarl.gridworld import N_ACTIONS
 from gridmarl.harness.bench import scaled_scenario
@@ -207,9 +208,8 @@ class TestForward:
             batch_subgraphs([sg], joints=[np.array([1, 2])])
 
 
-def crowded_decomposition(rng, scenario: Scenario):
-    """Depth-3 sub-graphs of a small random world with about 30% of its agents
-    stacked onto another's cell."""
+def crowded_world(rng, scenario: Scenario):
+    """A small random world with about 30% of its agents stacked onto another's cell."""
     if scenario is Scenario.JUNGLE:
         cfg = ScenarioConfig(scenario, 6, 6, agents=10, foods=2, episode_limit=6)
     else:
@@ -218,7 +218,33 @@ def crowded_decomposition(rng, scenario: Scenario):
     for a in world.agents:
         if rng.random() < 0.3:
             a.pos = world.agents[int(rng.integers(len(world.agents)))].pos
-    return decompose(build_graph(world), depth=3)
+    return world
+
+
+def crowded_decomposition(rng, scenario: Scenario, depth: int = 3):
+    """The sub-graphs of every agent of a :func:`crowded_world`."""
+    return decompose(build_graph(crowded_world(rng, scenario)), depth=depth)
+
+
+def eval_step_part():
+    """Team 0's part of the first step of a greedy evaluation of A10's world
+    scaled to 2000 per team: 2000 sub-graphs of depth 2."""
+    base = ScenarioConfig(Scenario.BATTLE, 14, 14, agents=28, episode_limit=30)
+    world = new_scenario(scaled_scenario(base, 2000, limit=10), 0)
+    g = build_graph(world)
+    dec = decompose(g, 2, centres=np.flatnonzero(world.team[g.ids] == 0))
+    assert len(dec) == 2000
+    return dec
+
+
+def peak_bytes(forward) -> int:
+    """The tracemalloc peak of ``forward()``; tracemalloc peaks are deterministic."""
+    tracemalloc.start()
+    try:
+        forward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def jittered_net(rng, in_dim: int, out_dim: int, rounds: int, pooled: bool) -> NetParams:
@@ -280,27 +306,87 @@ class TestFactoredTrunk:
                         np.testing.assert_allclose(got, concat_trunk(one, critic, plain)[0, 0], **close)
 
     def test_policy_pass_allocates_well_below_the_concatenated_one(self):
-        # the first step of a greedy evaluation of A10's world scaled to 2000
-        # per team: one team's 2000 sub-graphs of depth 2 through the A10
-        # policy (hidden 8, one round); tracemalloc peaks are deterministic
-        base = ScenarioConfig(Scenario.BATTLE, 14, 14, agents=28, episode_limit=30)
-        world = new_scenario(scaled_scenario(base, 2000, limit=10), 0)
-        g = build_graph(world)
-        dec = decompose(g, 2, centres=np.flatnonzero(world.team[g.ids] == 0))
-        assert len(dec) == 2000
+        # one team's part through the A10 policy (hidden 8, one round)
+        dec = eval_step_part()
         policy = new_graph_net(np.random.default_rng(0), VERTEX_DIM, 8, DEFAULT_N_MAX, N_ACTIONS, 1)
-
-        def peak(forward) -> int:
-            tracemalloc.start()
-            try:
-                forward()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        factored = peak(lambda: policy_logprobs(batch_subgraphs(dec), policy))
-        concatenated = peak(lambda: concat_trunk(batch_subgraphs(dec), policy, network._NumpyOps()))
+        factored = peak_bytes(lambda: policy_logprobs(batch_subgraphs(dec), policy))
+        plain = network._NumpyOps()
+        concatenated = peak_bytes(lambda: concat_trunk(batch_subgraphs(dec), policy, plain))
         assert factored <= 0.6 * concatenated, (factored, concatenated)
+
+
+def all_local(batch):
+    """``batch`` without its graphs: each sub-graph evaluated on its own."""
+    return dataclasses.replace(batch, shared=None)
+
+
+class TestSharedTrunk:
+    """A decomposition's policy batch runs the trunk once over its graph and
+    then over each sub-graph's shell; each sub-graph on its own must agree."""
+
+    def assert_matches_all_local(self, batch, policy, rng):
+        close = dict(rtol=0, atol=1e-12)
+        local = all_local(batch)
+        want, trace = policy_logprobs(local, policy, record=True)
+        np.testing.assert_allclose(policy_logprobs(batch, policy)[0], want, **close)
+        logp, got = policy_logprobs(batch, policy, record=True)
+        np.testing.assert_allclose(logp, want, **close)
+        seed = rng.normal(size=logp.shape)
+        for (path, a), (_, b) in zip(backward(got, seed).layers(), backward(trace, seed).layers()):
+            np.testing.assert_allclose(a.w, b.w, rtol=1e-10, atol=1e-10, err_msg=path)
+            np.testing.assert_allclose(a.b, b.b, rtol=1e-10, atol=1e-10, err_msg=path)
+
+    @pytest.mark.parametrize("scenario", [Scenario.JUNGLE, Scenario.BATTLE])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 3])
+    def test_matches_the_all_local_trunk(self, scenario, depth, rounds):
+        rng = np.random.default_rng(200 + 10 * depth + rounds)
+        for _ in range(2):
+            world = crowded_world(rng, scenario)
+            g = build_graph(world)
+            policy = jittered_net(rng, VERTEX_DIM, N_ACTIONS, rounds, pooled=False)
+            # every agent's sub-graphs, and one team's as a rollout step makes them
+            for centres in (None, np.flatnonzero(world.team[g.ids] == 0)):
+                dec = decompose(g, depth, centres=centres)
+                batch = batch_subgraphs(dec)
+                self.assert_matches_all_local(batch, policy, rng)
+                lay = network._trunk(batch, rounds)
+                interior = dec.hop <= depth - rounds
+                if rounds == depth:  # at most the centre is interior
+                    assert np.array_equal(interior, dec.hop == 0)
+                if not interior.any():
+                    assert lay.out is None
+                    continue
+                # an interior row reads its graph vertex, a shell row a trunk vertex of its own
+                assert np.array_equal(lay.out < g.n_vertices(), interior)
+                assert np.array_equal(lay.rows[lay.out], dec.rows)
+                assert len(np.unique(lay.out[~interior])) == np.count_nonzero(~interior)
+
+    def test_an_isolated_centre_and_an_empty_part(self):
+        rng = np.random.default_rng(7)
+        world = new_scenario(ScenarioConfig(Scenario.BATTLE, 8, 8, agents=3, episode_limit=6), 0)
+        for a in world.agents:
+            a.pos = world.agents[1].pos
+        world.agents[0].pos = Position(0, 0) if world.agents[1].pos.x > 2 else Position(7, 7)
+        g = build_graph(world)
+        assert np.diff(g.indptr)[0] == 0  # agent 0 stands alone
+        for rounds in (0, 1, 2):
+            policy = jittered_net(rng, VERTEX_DIM, N_ACTIONS, rounds, pooled=False)
+            for centres in ([0], [0, 1], [0, 3, 5]):
+                batch = batch_subgraphs(decompose(g, 1, centres=np.array(centres)))
+                self.assert_matches_all_local(batch, policy, rng)
+            empty = batch_subgraphs(decompose(g, 2, centres=np.empty(0, dtype=np.int64)))
+            logp, trace = policy_logprobs(empty, policy, record=True)
+            assert logp.shape == (0, N_ACTIONS)
+            grads = backward(trace, np.zeros_like(logp))
+            assert all(not layer.w.any() and not layer.b.any() for _, layer in grads.layers())
+
+    def test_policy_pass_allocates_at_most_065_of_the_all_local_one(self):
+        dec = eval_step_part()
+        policy = new_graph_net(np.random.default_rng(0), VERTEX_DIM, 8, DEFAULT_N_MAX, N_ACTIONS, 1)
+        split = peak_bytes(lambda: policy_logprobs(batch_subgraphs(dec), policy))
+        local = peak_bytes(lambda: policy_logprobs(all_local(batch_subgraphs(dec)), policy))
+        assert split <= 0.65 * local, (split, local)
 
 
 class TestGradients:

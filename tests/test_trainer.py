@@ -1,6 +1,8 @@
 """Rollouts, episode gradients, the batch trainer, evaluation."""
 
 import copy
+import dataclasses
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -258,6 +260,33 @@ class TestRollout:
                 reach = [sg.centre for sg in mine if aid in sg.members.tolist()]
                 assert len(got) == len(reach)  # same-team sub-graphs only
                 assert np.array_equal(got, np.array(dists[aid]))
+
+
+    def test_an_uncollected_step_record_is_released_before_the_next_graph(self, monkeypatch):
+        # an evaluation keeps no step: when a step's graph is built, no record
+        # of an earlier step may still be alive
+        records, alive_at_build = [], []
+
+        class Tracked(trainer.StepData):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                records.append(weakref.ref(self))
+
+        plain = trainer.build_graph
+
+        def build(world):
+            alive_at_build.append(sum(ref() is not None for ref in records))
+            return plain(world)
+
+        monkeypatch.setattr(trainer, "StepData", Tracked)
+        monkeypatch.setattr(trainer, "build_graph", build)
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
+        nets = make_nets(tcfg, tiny_net_cfg())
+        world = new_scenario(battle_cfg(agents=4), 0)
+        rng = np.random.default_rng(0)
+        res = rollout_graph(world, nets, tcfg, tiny_net_cfg(), rng, collect=False)
+        assert res.stats.steps >= 2 and len(records) == len(alive_at_build) == res.stats.steps
+        assert alive_at_build == [0] * res.stats.steps
 
 
 class TestTransitions:
@@ -570,6 +599,42 @@ class TestEpisodeGrads:
         b_p, b_c = ac_episode_grads(trs, nets[0], tcfg, fresh_probs=True)
         params_allclose(a_p, b_p)
         params_allclose(a_c, b_c)
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_policy_passes_split_across_steps_match_the_all_local_trunk(self, monkeypatch, rounds):
+        # a crowded Jungle record; with a row budget of 23 the chunks of
+        # _policy_pass and _fresh_probs start and end inside steps, and each
+        # chunk's graph part is the table rows its rows span
+        rng = np.random.default_rng(rounds)
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
+        ncfg = NetConfig(hidden=6, rounds=rounds)
+        nets = make_nets(tcfg, ncfg, seed=6)
+        world, res = graph_episode(crowded_jungle(), tcfg, ncfg, nets, seed=6)
+        trs = team_transitions(res.steps, world.team, 0)
+        policy = nets[0].policy
+        for _, layer in policy.layers():
+            layer.b += rng.normal(scale=0.3, size=layer.b.shape)  # keep ReLUs off their kink
+        rows = int(trs.dec.offsets[len(trs)])
+        coeffs = rng.normal(size=rows)
+
+        # the reference: the whole record in one batch, each sub-graph on its own
+        batch = batch_subgraphs(trs.dec)
+        logp, trace = policy_logprobs(dataclasses.replace(batch, shared=None), policy, record=True)
+        seed = np.zeros_like(logp)
+        seed[np.arange(rows), trs.sampled[:rows]] = coeffs
+        want = backward(trace, seed)
+        probs = np.exp(logp)
+        probs /= probs.sum(axis=1, keepdims=True)
+
+        monkeypatch.setattr(trainer, "ROW_BUDGET", 23)
+        starts = [part.start for part in trainer._chunks(*batch.sizes())][1:]
+        assert any(trs.t[k - 1] == trs.t[k] for k in starts)  # a chunk starts inside a step
+        assert len(np.unique(trs.t)) >= 3
+        got = trainer._policy_pass(trs, coeffs, policy)
+        for (path, a), (_, b) in zip(got.layers(), want.layers()):
+            np.testing.assert_allclose(a.w, b.w, rtol=1e-10, atol=1e-10, err_msg=path)
+            np.testing.assert_allclose(a.b, b.b, rtol=1e-10, atol=1e-10, err_msg=path)
+        np.testing.assert_allclose(trainer._fresh_probs(trs.dec, policy), probs, rtol=0, atol=1e-12)
 
     def test_ac_empty_transitions(self):
         # a Jungle world has no team 1, so its record for team 1 is empty
