@@ -14,8 +14,9 @@ own sub-graph and a member of its neighbours', and sub-graphs are induced
 balls, so a member far enough inside its sub-graph has the state it has in
 the whole graph. Its forward runs the rounds once over the step graphs, then
 only over each sub-graph's shell, the members whose neighbourhood the depth
-cut truncates, and gathers each member row's output (:func:`_trunk`). The
-critic's passes evaluate every sub-graph on its own.
+cut truncates, and gathers each member row's output (:func:`_trunk`), unless
+that union holds no fewer vertices than the sub-graphs. The critic's passes
+evaluate every sub-graph on its own.
 
 The same forward routine runs in two modes sharing one code path: plain numpy
 (sampling, baseline sweeps) and recorded (builds an autodiff graph whose
@@ -232,24 +233,28 @@ class _Trunk:
 def _trunk(batch: GraphBatch, rounds: int) -> _Trunk:
     """What a forward of ``rounds`` rounds evaluates.
 
-    Without a shared part (or with no interior row) the trunk is the batch:
-    each sub-graph on its own. With one, the rounds run once over the graphs
-    and then over each sub-graph's shell, the rows whose neighbourhood the
-    depth cut truncates. This is exact because sub-graphs are induced balls:
-    a row at hop h <= depth - rounds has every vertex and edge within
-    ``rounds`` hops of it in its sub-graph, so its output is its graph
-    vertex's. A shell row (h > depth - rounds) gets its sub-graph's in-edges,
-    from shell rows or from graph vertices, which are interior rows' states.
-    Round 0's edge outputs depend on the endpoints' embeddings only, the same
-    in every sub-graph, so a shell edge reads its graph edge's.
+    Without a shared part the trunk is the batch: each sub-graph on its own.
+    With one, the rounds run once over the graphs and then over each
+    sub-graph's shell, the rows whose neighbourhood the depth cut truncates,
+    unless the graphs and the shells hold no fewer vertices than the batch
+    (when no row but the centres is interior, as where ``rounds`` is the
+    depth): then the trunk is the batch again. This is exact because
+    sub-graphs are induced balls: a row at hop h <= depth - rounds has every
+    vertex and edge within ``rounds`` hops of it in its sub-graph, so its
+    output is its graph vertex's. A shell row (h > depth - rounds) gets its
+    sub-graph's in-edges, from shell rows or from graph vertices, which are
+    interior rows' states. Round 0's edge outputs depend on the endpoints'
+    embeddings only, the same in every sub-graph, so a shell edge reads its
+    graph edge's.
     """
     sh, rows = batch.shared, batch.rows
     shell = None if sh is None else sh.hop > sh.depth - rounds
-    if shell is None or shell.all():
+    n_shell = 0 if shell is None else np.count_nonzero(shell)
+    if shell is None or sh.n + n_shell >= len(rows):
         return _Trunk(rows, batch.edge_src, batch.edge_dst, batch.edge_code, None, None)
     # each row's trunk vertex: its graph vertex, or a shell vertex of its own
     vertex = rows - sh.first
-    vertex[shell] = sh.n + np.arange(np.count_nonzero(shell))
+    vertex[shell] = sh.n + np.arange(n_shell)
     into = shell[batch.edge_dst]  # the sub-graph edges into shell rows
     return _Trunk(
         rows=np.concatenate([np.arange(sh.first, sh.first + sh.n), rows[shell]]),

@@ -354,8 +354,12 @@ class TestSharedTrunk:
                 interior = dec.hop <= depth - rounds
                 if rounds == depth:  # at most the centre is interior
                     assert np.array_equal(interior, dec.hop == 0)
-                if not interior.any():
-                    assert lay.out is None
+                # the split runs where the graph and the shells are the smaller trunk
+                smaller = g.n_vertices() + np.count_nonzero(~interior) < len(dec.rows)
+                assert (lay.out is not None) == smaller
+                if rounds < depth and centres is None:
+                    assert smaller  # crowded: some centre has a neighbour within depth - rounds
+                if not smaller:
                     continue
                 # an interior row reads its graph vertex, a shell row a trunk vertex of its own
                 assert np.array_equal(lay.out < g.n_vertices(), interior)
@@ -373,8 +377,10 @@ class TestSharedTrunk:
         for rounds in (0, 1, 2):
             policy = jittered_net(rng, VERTEX_DIM, N_ACTIONS, rounds, pooled=False)
             for centres in ([0], [0, 1], [0, 3, 5]):
-                batch = batch_subgraphs(decompose(g, 1, centres=np.array(centres)))
+                batch = batch_subgraphs(decompose(g, 2, centres=np.array(centres)))
                 self.assert_matches_all_local(batch, policy, rng)
+            # the lone centre is an interior row of a split trunk while rounds < depth
+            assert (network._trunk(batch, rounds).out is not None) == (rounds < 2)
             empty = batch_subgraphs(decompose(g, 2, centres=np.empty(0, dtype=np.int64)))
             logp, trace = policy_logprobs(empty, policy, record=True)
             assert logp.shape == (0, N_ACTIONS)

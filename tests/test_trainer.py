@@ -606,7 +606,7 @@ class TestEpisodeGrads:
         # _policy_pass and _fresh_probs start and end inside steps, and each
         # chunk's graph part is the table rows its rows span
         rng = np.random.default_rng(rounds)
-        tcfg = TrainerConfig(algorithm="graph-ac", depth=2)
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=3)
         ncfg = NetConfig(hidden=6, rounds=rounds)
         nets = make_nets(tcfg, ncfg, seed=6)
         world, res = graph_episode(crowded_jungle(), tcfg, ncfg, nets, seed=6)
@@ -630,6 +630,8 @@ class TestEpisodeGrads:
         starts = [part.start for part in trainer._chunks(*batch.sizes())][1:]
         assert any(trs.t[k - 1] == trs.t[k] for k in starts)  # a chunk starts inside a step
         assert len(np.unique(trs.t)) >= 3
+        parts = trainer._chunks(*batch.sizes())
+        assert any(network._trunk(batch.graphs(part), rounds).out is not None for part in parts)
         got = trainer._policy_pass(trs, coeffs, policy)
         for (path, a), (_, b) in zip(got.layers(), want.layers()):
             np.testing.assert_allclose(a.w, b.w, rtol=1e-10, atol=1e-10, err_msg=path)

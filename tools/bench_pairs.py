@@ -6,8 +6,8 @@ Usage, from the root of a checkout:
 
 Each commit is exported with ``git archive`` into a directory of its own
 under ``--work``, and every run starts ``perfbench/run.py`` in that export,
-one run at a time. Per workload of ``BENCHMARK.json`` (the change's), the
-protocol is:
+one run at a time, for the ``run_seconds`` that ``BENCHMARK.json`` (the
+change's) sets. Per workload of that file, the protocol is:
 
 * ten plain pairs, ``--seed 100`` to ``109``, the parent running first on
   even seeds and the change first on odd ones;
@@ -140,7 +140,6 @@ def main(argv: list[str]) -> int:
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("--out", required=True, help="the JSON file to write")
-    p.add_argument("--seconds", type=float, default=50.0, help="--seconds of every run")
     p.add_argument("--work", help="where to export the commits (default: a new temporary dir)")
     p.add_argument("--topic", default="")
     p.add_argument("--claim", default="")
@@ -152,6 +151,7 @@ def main(argv: list[str]) -> int:
     commits = {"parent": args.parent, "change": args.change}
     shas = {side: export(commit, roots[side]) for side, commit in commits.items()}
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
 
     def log(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
@@ -159,7 +159,7 @@ def main(argv: list[str]) -> int:
     os.environ.pop("GRIDMARL_OUT", None)
     result = {
         "topic": args.topic,
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND.format(seconds=seconds),
         "parent": shas["parent"][:7],
         "change": shas["change"][:7],
         "machine": (
@@ -174,7 +174,7 @@ def main(argv: list[str]) -> int:
         ),
         "claim": args.claim,
         "result": args.result,
-        "workloads": compare(roots, benchmark, args.seconds, log),
+        "workloads": compare(roots, benchmark, seconds, log),
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
