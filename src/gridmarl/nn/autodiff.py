@@ -4,9 +4,11 @@ Only the operations the message-passing networks actually use are provided:
 affine maps (with or without a bias), a weight's column block, ReLU,
 elementwise add/multiply, row gather, segment sum and a row-wise
 log-softmax. Every op returns a :class:`Var` holding the forward value
-plus vector-Jacobian closures back to its parents;
-:func:`backward` replays them in reverse topological order and accumulates
-adjoints on the leaves. The ReLU subgradient at exactly zero is zero.
+plus vector-Jacobian closures back to those of its parents that need an
+adjoint; :func:`backward` replays them in reverse topological order and
+accumulates adjoints on the leaves. Data that enters through :func:`const`
+needs none, so no closure into it is kept or run. The ReLU subgradient at
+exactly zero is zero.
 
 Everything is float64. This is deliberately not a general autodiff.
 """
@@ -23,23 +25,35 @@ VJP = Callable[[np.ndarray], np.ndarray]
 
 
 class Var:
-    """A node in the computation graph: value, adjoint, parent links."""
+    """A node in the computation graph: value, adjoint, parent links.
 
-    __slots__ = ("value", "grad", "parents", "tag")
+    A node needs an adjoint if it is a leaf (``needs_grad``) or depends on
+    one; it keeps links to the parents that need one and drops the rest.
+    """
+
+    __slots__ = ("value", "grad", "parents", "tag", "needs_grad")
 
     def __init__(
         self,
         value: np.ndarray,
         parents: Sequence[tuple["Var", VJP]] = (),
         tag: str = "",
+        needs_grad: bool = False,
     ):
         self.value = value
         self.grad: Optional[np.ndarray] = None
-        self.parents = tuple(parents)
+        self.parents = tuple((p, vjp) for p, vjp in parents if p.needs_grad)
+        self.needs_grad = needs_grad or bool(self.parents)
         self.tag = tag
 
 
 def leaf(value: np.ndarray) -> Var:
+    """A value whose adjoint :func:`backward` accumulates: a parameter."""
+    return Var(value, needs_grad=True)
+
+
+def const(value: np.ndarray) -> Var:
+    """A value that gets no adjoint: data the gradients are not taken for."""
     return Var(value)
 
 
@@ -157,14 +171,20 @@ def _topo_order(root: Var) -> list[Var]:
 
 
 def backward(root: Var, seed: np.ndarray) -> None:
-    """Accumulate d(seed . root) into ``grad`` of every reachable node."""
+    """Accumulate d(seed . root) into ``grad`` of every leaf ``root`` depends on.
+
+    An interior node's adjoint is released once it is passed on to the
+    node's parents, so afterwards only the leaves hold one, and a second
+    call adds the same adjoints onto theirs again. Constants get none.
+    """
     if seed.shape != root.value.shape:
         raise ShapeError(f"seed shape {seed.shape} != output shape {root.value.shape}")
     root.grad = np.asarray(seed, dtype=np.float64)
     for node in reversed(_topo_order(root)):
         g = node.grad
-        if g is None:
+        if g is None or not node.parents:
             continue
+        node.grad = None
         for parent, vjp in node.parents:
             pg = vjp(g)
             parent.grad = pg if parent.grad is None else parent.grad + pg

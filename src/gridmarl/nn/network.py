@@ -20,10 +20,14 @@ evaluate every sub-graph on its own.
 
 The same forward routine runs in two modes sharing one code path: plain numpy
 (sampling, baseline sweeps) and recorded (builds an autodiff graph whose
-:func:`backward` yields parameter gradients). A baseline sweep
+:func:`backward` yields parameter gradients). A recorded pass takes its data
+(the feature table, the one-hot block, the radial-basis rows) as constants,
+so the backward pass computes adjoints for the parameters and what depends
+on them only, and frees each once it is passed on. A baseline sweep
 (:func:`critic_deviations`) keeps the plain pass's states and patches them
 for each single-member action deviation, re-evaluating only the vertices
-and edges the deviation reaches.
+and edges the deviation reaches, one alternative action at a time so that
+its temporaries hold one alternative's rows.
 
 Wiring per round, following the two-panel network diagram: edges refresh
 first from their endpoints' current vertex values, then vertices refresh
@@ -325,7 +329,7 @@ class _KeepOps(_NumpyOps):
 
 
 class _RecordOps:
-    """Autodiff evaluation: parameters become leaves, ops build the tape."""
+    """Autodiff evaluation: parameters become leaves, data constants, ops build the tape."""
 
     def __init__(self) -> None:
         self.leaves: dict[str, tuple[ad.Var, ad.Var]] = {}
@@ -336,7 +340,7 @@ class _RecordOps:
         return self.leaves[path]
 
     def wrap(self, x: np.ndarray):
-        return ad.leaf(x)
+        return ad.const(x)
 
     def linear(self, x, wb, cols: Optional[slice] = None, bias: bool = True):
         w, b = wb
@@ -578,11 +582,6 @@ def deviation_sizes(batch: GraphBatch, rounds: int) -> tuple[np.ndarray, np.ndar
     return rows, alts * np.bincount(batch.graph_of[batch.edge_src[edge]], minlength=g)
 
 
-def _times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w.T`` over the last axis of ``x``, as one matrix product."""
-    return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(*x.shape[:-1], w.shape[0])
-
-
 def _sum_rows(x: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
     """(n, ...) array whose row k sums the rows i of ``x`` with seg[i] == k.
 
@@ -613,6 +612,11 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
     the changed part's product; the first change is the difference of two
     action columns of the embedding; the pooled sum is the base sum plus the
     changed rows' differences. Plain numpy, nothing recorded.
+
+    The four alternatives are swept one after another, each through every
+    round, so each temporary holds one alternative: (changed edges or
+    pairs) x h. The rounds' index arrays are computed once and shared by
+    the four sweeps.
     """
     if not params.pooled:
         raise ShapeError("deviations are defined for a pooled critic")
@@ -624,57 +628,72 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
     other = np.arange(alts) + (np.arange(alts) >= held[:, None])  # (v, 4)
     act = params.ebd.w[:, -N_ACTIONS:].T  # each action's embedding column
 
-    # each region pair's vertex-state change under its row's four deviations
-    ds = np.zeros((n_pairs, alts, h))
-    ds[reg.hops == 0] = act[other] - act[held][:, None]
-    for i, rp in enumerate(params.rounds):
-        s, pre, filt, fsum, sv = kept[i]
-        e, ps, pd = reg.edges[i]
-        near = np.flatnonzero(reg.hops <= i)  # the pairs changed so far
-        slot = np.full(n_pairs + 1, len(near))  # a pair's row among them, else a zero row
+    # each round's index arrays, shared by the four sweeps: its changed
+    # edges; where each edge's endpoints and each pair it reaches read their
+    # change among the pairs changed before the round (the near pairs; past
+    # them a zero row); and, among the pairs changed after it (reach), each
+    # edge's head, each pair's vertex and each near pair
+    index = []
+    for i, (e, ps, pd) in enumerate(reg.edges):
+        near = np.flatnonzero(reg.hops <= i)
+        slot = np.full(n_pairs + 1, len(near))
         slot[near] = np.arange(len(near))
-        w_z, w_src, w_dst = np.split(rp.edge.w, [d, d + h], axis=1)
-        # each temporary is (changed edges or pairs) x 4 x h: release it once used
-        z = np.take(_with_zero_row(_times(ds[near], w_src)), slot[ps], axis=0)
-        z += np.take(_with_zero_row(_times(ds[near], w_dst)), slot[pd], axis=0)
-        if i:  # the edges the last round changed come first
-            z[: len(dz)] += _times(dz, w_z)
-            del dz
-        z += pre[e][:, None]
-        z = np.maximum(z, 0.0, out=z)
-        if i + 1 < len(params.rounds):
-            dz = z - np.maximum(pre[e], 0.0)[:, None]
-        dfilt = _times(z, rp.z_rel.w)
-        del z
-        dfilt += rp.z_rel.b
-        dfilt = np.maximum(dfilt, 0.0, out=dfilt)
-        dfilt -= filt[e][:, None]
-
-        reach = np.flatnonzero(reg.hops <= i + 1)  # the pairs changed after this round
+        reach = np.flatnonzero(reg.hops <= i + 1)
         reach_slot = np.empty(n_pairs, dtype=np.int64)
         reach_slot[reach] = np.arange(len(reach))
-        u = reg.vertex[reach]
-        agg = _sum_rows(dfilt, reach_slot[pd], len(reach))
-        del dfilt
-        agg += fsum[u][:, None]
-        agg *= np.take(_with_zero_row(_times(ds[near], rp.v_lin.w)), slot[reach], axis=0) + sv[u][:, None]
-        lift = _times(agg, rp.post_rel.w)
-        del agg
-        lift += rp.post_rel.b
-        lift = np.maximum(lift, 0.0, out=lift)
-        upd = _times(lift, rp.post_lin.w)
-        del lift
-        upd += (rp.post_lin.b + s[u] - kept[i + 1][0][u])[:, None]  # less the base pass's update
-        upd += ds[reach]
-        ds[reach] = upd
-        del upd
+        index.append((e, slot[ps], slot[pd], slot[reach], reach_slot[pd], reg.vertex[reach], reach_slot[near]))
+    pooled_base = ad.scatter_rows(kept[-1][0], batch.graph_of, batch.n_graphs)[batch.graph_of]
 
-    pooled = _sum_rows(ds, reg.row, batch.n_vertices())
-    pooled += ad.scatter_rows(kept[-1][0], batch.graph_of, batch.n_graphs)[batch.graph_of][:, None]
-    hid = _times(pooled, params.head_rel.w)
-    hid += params.head_rel.b
-    hid = np.maximum(hid, 0.0, out=hid)
-    return base, _times(hid, params.head_lin.w)[..., 0] + params.head_lin.b[0]
+    dev = np.empty((batch.n_vertices(), alts))
+    for k in range(alts):
+        # each near pair's vertex-state change under its row's k-th
+        # deviation; before round 0 the near pairs are the rows themselves
+        ds = act[other[:, k]] - act[held]
+        for i, rp in enumerate(params.rounds):
+            s, pre, filt, fsum, sv = kept[i]
+            e, at_src, at_dst, at_reach, seg, u, was = index[i]
+            w_z, w_src, w_dst = np.split(rp.edge.w, [d, d + h], axis=1)
+            # each temporary is (changed edges or pairs) x h: release it once used
+            z = np.take(_with_zero_row(ds @ w_src.T), at_src, axis=0)
+            z += np.take(_with_zero_row(ds @ w_dst.T), at_dst, axis=0)
+            if i:  # the edges the last round changed come first
+                z[: len(dz)] += dz @ w_z.T
+                del dz
+            z += pre[e]
+            z = np.maximum(z, 0.0, out=z)
+            if i + 1 < len(params.rounds):
+                dz = z - np.maximum(pre[e], 0.0)
+            dfilt = z @ rp.z_rel.w.T
+            del z
+            dfilt += rp.z_rel.b
+            dfilt = np.maximum(dfilt, 0.0, out=dfilt)
+            dfilt -= filt[e]
+
+            agg = _sum_rows(dfilt, seg, len(u))
+            del dfilt
+            agg += fsum[u]
+            agg *= np.take(_with_zero_row(ds @ rp.v_lin.w.T), at_reach, axis=0) + sv[u]
+            lift = agg @ rp.post_rel.w.T
+            del agg
+            lift += rp.post_rel.b
+            lift = np.maximum(lift, 0.0, out=lift)
+            upd = lift @ rp.post_lin.w.T
+            del lift
+            upd += rp.post_lin.b + s[u] - kept[i + 1][0][u]  # less the base pass's update
+            upd[was] += ds
+            ds = upd
+            del upd
+
+        # after the last round every region pair is near
+        pooled = _sum_rows(ds, reg.row, batch.n_vertices())
+        del ds
+        pooled += pooled_base
+        hid = pooled @ params.head_rel.w.T
+        del pooled
+        hid += params.head_rel.b
+        hid = np.maximum(hid, 0.0, out=hid)
+        dev[:, k] = (hid @ params.head_lin.w.T)[:, 0] + params.head_lin.b[0]
+    return base, dev
 
 
 def mlp_logprobs(
@@ -689,7 +708,10 @@ def backward(trace: Trace, seed: np.ndarray) -> Params:
 
     The seed carries the objective: for the linear objectives used here
     (delta-weighted log-probabilities, coefficient-weighted critic values)
-    it is simply the coefficient array in the output's shape.
+    it is simply the coefficient array in the output's shape. The tape
+    keeps no adjoint once this returns (:func:`autodiff.backward` releases
+    the interior ones, this reads and clears the parameters'), so a second
+    call on one trace returns the same gradients.
     """
     if trace.params.version != trace.version:
         raise StaleTrace("parameters changed since this trace was recorded")
@@ -703,12 +725,10 @@ def backward(trace: Trace, seed: np.ndarray) -> Params:
     ad.backward(trace.output, seed)
     grads = zeros_like_params(trace.params)
     for path, layer in grads.layers():
-        if path in trace.leaves:
-            wv, bv = trace.leaves[path]
-            if wv.grad is not None:
-                layer.w += wv.grad
-            if bv.grad is not None:
-                layer.b += bv.grad
+        for leaf, slot in zip(trace.leaves.get(path, ()), (layer.w, layer.b)):
+            if leaf.grad is not None:
+                slot += leaf.grad
+                leaf.grad = None
     return grads
 
 

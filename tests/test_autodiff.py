@@ -6,9 +6,11 @@ import pytest
 from gridmarl import ShapeError
 from gridmarl.nn.autodiff import (
     Var,
+    _topo_order,
     add,
     backward,
     columns,
+    const,
     gather,
     leaf,
     linear,
@@ -188,6 +190,24 @@ class TestBackward:
             out = add(out, x)
         backward(out, np.ones((1, 1)))
         assert x.grad[0, 0] == 5001.0
+
+    def test_constants_get_no_adjoint_and_interior_ones_are_released(self):
+        rng = np.random.default_rng(9)
+        data = const(rng.normal(size=(4, 3)))
+        w, b = leaf(rng.normal(size=(2, 3))), leaf(rng.normal(size=2))
+        hid = relu(linear(data, w, b))
+        out = log_softmax(add(hid, gather(hid, np.array([1, 0, 3, 2]))))
+        assert not data.needs_grad and all(p is not data for p, _ in hid.parents[0][0].parents)
+        seed = rng.normal(size=(4, 2))
+        backward(out, seed)
+        assert data.grad is None
+        interior = [node for node in _topo_order(out) if node.parents]
+        assert len(interior) == 5 and all(node.grad is None for node in interior)
+        first = (w.grad, b.grad)
+        # the interior adjoints were released, so a second call adds the same again
+        backward(out, seed)
+        np.testing.assert_array_equal(w.grad, 2 * first[0])
+        np.testing.assert_array_equal(b.grad, 2 * first[1])
 
     def test_seed_shape_checked(self):
         x = leaf(np.zeros((2, 3)))

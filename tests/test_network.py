@@ -14,6 +14,7 @@ from gridmarl.nn import autodiff as ad
 from gridmarl.nn import network
 from gridmarl.nn.params import h_lin, h_rel, vertex_update
 from gridmarl.nn.optim import adam_state
+from gridmarl.rl.trainer import NetConfig, Trainer, TrainerConfig, team_transitions
 from gridmarl.nn import (
     MlpParams,
     NetParams,
@@ -125,6 +126,77 @@ def concat_grads(batch, params: NetParams, seed: np.ndarray):
     out = concat_trunk(batch, params, ops)
     ad.backward(out, seed.reshape(out.value.shape))
     return {path: (w.grad, b.grad) for path, (w, b) in ops.leaves.items()}
+
+
+def times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` over the last axis of ``x``, as one matrix product."""
+    return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(*x.shape[:-1], w.shape[0])
+
+
+def four_at_once_deviations(batch, params: NetParams):
+    """:func:`critic_deviations` with the four alternatives side by side, as it
+    ran before it swept them one at a time: each pair's change is (4, h), so
+    every temporary is (changed edges or pairs) x 4 x h, and each round's
+    index arrays are built as the round runs."""
+    kept: list = []
+    base = network._graph_trunk(batch, params, network._KeepOps(), kept).reshape(-1)
+    reg = network._regions(batch, len(params.rounds))
+    n_pairs, alts, d, h = len(reg.row), N_ACTIONS - 1, params.edge_dim, params.hidden
+    held = batch.acts
+    other = np.arange(alts) + (np.arange(alts) >= held[:, None])  # (v, 4)
+    act = params.ebd.w[:, -N_ACTIONS:].T  # each action's embedding column
+
+    # each region pair's vertex-state change under its row's four deviations
+    ds = np.zeros((n_pairs, alts, h))
+    ds[reg.hops == 0] = act[other] - act[held][:, None]
+    for i, rp in enumerate(params.rounds):
+        s, pre, filt, fsum, sv = kept[i]
+        e, ps, pd = reg.edges[i]
+        near = np.flatnonzero(reg.hops <= i)  # the pairs changed so far
+        slot = np.full(n_pairs + 1, len(near))  # a pair's row among them, else a zero row
+        slot[near] = np.arange(len(near))
+        w_z, w_src, w_dst = np.split(rp.edge.w, [d, d + h], axis=1)
+        # each temporary is (changed edges or pairs) x 4 x h: release it once used
+        z = np.take(network._with_zero_row(times(ds[near], w_src)), slot[ps], axis=0)
+        z += np.take(network._with_zero_row(times(ds[near], w_dst)), slot[pd], axis=0)
+        if i:  # the edges the last round changed come first
+            z[: len(dz)] += times(dz, w_z)
+            del dz
+        z += pre[e][:, None]
+        z = np.maximum(z, 0.0, out=z)
+        if i + 1 < len(params.rounds):
+            dz = z - np.maximum(pre[e], 0.0)[:, None]
+        dfilt = times(z, rp.z_rel.w)
+        del z
+        dfilt += rp.z_rel.b
+        dfilt = np.maximum(dfilt, 0.0, out=dfilt)
+        dfilt -= filt[e][:, None]
+
+        reach = np.flatnonzero(reg.hops <= i + 1)  # the pairs changed after this round
+        reach_slot = np.empty(n_pairs, dtype=np.int64)
+        reach_slot[reach] = np.arange(len(reach))
+        u = reg.vertex[reach]
+        agg = network._sum_rows(dfilt, reach_slot[pd], len(reach))
+        del dfilt
+        agg += fsum[u][:, None]
+        agg *= np.take(network._with_zero_row(times(ds[near], rp.v_lin.w)), slot[reach], axis=0) + sv[u][:, None]
+        lift = times(agg, rp.post_rel.w)
+        del agg
+        lift += rp.post_rel.b
+        lift = np.maximum(lift, 0.0, out=lift)
+        upd = times(lift, rp.post_lin.w)
+        del lift
+        upd += (rp.post_lin.b + s[u] - kept[i + 1][0][u])[:, None]  # less the base pass's update
+        upd += ds[reach]
+        ds[reach] = upd
+        del upd
+
+    pooled = network._sum_rows(ds, reg.row, batch.n_vertices())
+    pooled += ad.scatter_rows(kept[-1][0], batch.graph_of, batch.n_graphs)[batch.graph_of][:, None]
+    hid = times(pooled, params.head_rel.w)
+    hid += params.head_rel.b
+    hid = np.maximum(hid, 0.0, out=hid)
+    return base, times(hid, params.head_lin.w)[..., 0] + params.head_lin.b[0]
 
 
 class TestForward:
@@ -315,6 +387,105 @@ class TestFactoredTrunk:
         assert factored <= 0.6 * concatenated, (factored, concatenated)
 
 
+def train_battle14_record():
+    """The first batch of the ``train-battle14`` workload (A10's training
+    world, graph-ac, seed 0, eight episodes, depth 2, hidden 8, one round):
+    its (episode, team) record with the most member rows, as a critic batch
+    of the executed joints, and that team's critic."""
+    cfg = ScenarioConfig(Scenario.BATTLE, 10, 10, agents=14, episode_limit=30)
+    tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=8)
+    trainer = Trainer(cfg, tcfg, NetConfig(hidden=8, rounds=1), seed=0)
+    records = [
+        (team_transitions(trainer._episode(0, e).steps, trainer.team, t), t)
+        for e in range(8)
+        for t in trainer.teams
+    ]
+    tr, team = max(records, key=lambda r: len(r[0].dec.rows))
+    return lambda: batch_subgraphs(tr.dec, joints=[tr.executed]), trainer.nets[team].critic
+
+
+class TestDeviations:
+    """The sweep runs the four alternatives one after another; the same sweep
+    with the four side by side must agree, and hold more memory."""
+
+    @pytest.mark.parametrize("scenario", [Scenario.JUNGLE, Scenario.BATTLE])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_matches_the_four_at_once_sweep(self, scenario, rounds):
+        rng = np.random.default_rng(300 + rounds)
+        close = dict(rtol=0, atol=1e-12)
+        for _ in range(2):
+            dec = crowded_decomposition(rng, scenario)
+            critic = jittered_net(rng, VERTEX_DIM + N_ACTIONS, 1, rounds, pooled=True)
+            batch = batch_subgraphs(dec, joints=[rng.integers(N_ACTIONS, size=len(dec.rows))])
+            base, dev = critic_deviations(batch, critic)
+            want_base, want_dev = four_at_once_deviations(batch, critic)
+            assert dev.shape == want_dev.shape == (len(dec.rows), N_ACTIONS - 1)
+            np.testing.assert_allclose(base, want_base, **close)
+            np.testing.assert_allclose(dev, want_dev, **close)
+
+    def test_sweep_allocates_at_most_06_of_the_four_at_once_one(self):
+        batch, critic = train_battle14_record()
+        assert batch().n_vertices() == 1516
+        # a fresh batch per call: each computes its regions
+        alone = peak_bytes(lambda: critic_deviations(batch(), critic))
+        together = peak_bytes(lambda: four_at_once_deviations(batch(), critic))
+        assert alone <= 0.6 * together, (alone, together)
+
+
+class WatchedOps(network._RecordOps):
+    """The recording op set, keeping each value it wraps."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.wrapped: list = []
+
+    def wrap(self, x):
+        var = super().wrap(x)
+        self.wrapped.append(var)
+        return var
+
+
+class TestTape:
+    """A recorded pass's tape keeps no adjoint but the parameters' once
+    backward has run, and never computes one for its data."""
+
+    @pytest.mark.parametrize("scenario", [Scenario.JUNGLE, Scenario.BATTLE])
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_no_adjoint_outlives_backward(self, monkeypatch, scenario, rounds):
+        made: list[WatchedOps] = []
+
+        def watched() -> WatchedOps:
+            made.append(WatchedOps())
+            return made[-1]
+
+        monkeypatch.setattr(network, "_RecordOps", watched)
+        rng = np.random.default_rng(400 + rounds)
+        dec = crowded_decomposition(rng, scenario)
+        policy = jittered_net(rng, VERTEX_DIM, N_ACTIONS, rounds, pooled=False)
+        critic = jittered_net(rng, VERTEX_DIM + N_ACTIONS, 1, rounds, pooled=True)
+        pol_batch = batch_subgraphs(dec)
+        cri_batch = batch_subgraphs(dec, joints=[rng.integers(N_ACTIONS, size=len(dec.rows))])
+        for batch, net, run, n_data in (
+            (pol_batch, policy, policy_logprobs, 2),  # the feature table, the radial-basis rows
+            (cri_batch, critic, critic_values, 3),    # and the one-hot block
+        ):
+            out, trace = run(batch, net, record=True)
+            data = made[-1].wrapped
+            assert len(data) == n_data and not any(v.needs_grad for v in data)
+            leaves = {id(v) for pair in trace.leaves.values() for v in pair}
+            nodes = ad._topo_order(trace.output)
+            assert not {id(v) for v in data} & {id(node) for node in nodes}
+            seed = rng.normal(size=out.shape)
+            grads = backward(trace, seed)
+            assert all(node.grad is None for node in nodes)  # the parameters' read and cleared
+            # the tape's own backward leaves adjoints on the parameters alone
+            ad.backward(trace.output, seed.reshape(trace.output.value.shape))
+            held = [node for node in nodes if node.grad is not None]
+            assert held and all(id(node) in leaves for node in held)
+            assert all(v.grad is None for v in data)
+            TestFactoredTrunk().assert_grads(grads, concat_grads(batch, net, seed))
+
+
 def all_local(batch):
     """``batch`` without its graphs: each sub-graph evaluated on its own."""
     return dataclasses.replace(batch, shared=None)
@@ -464,6 +635,24 @@ class TestGradients:
         grads = backward(trace, seed)
         want = self.fd_param_grads(lambda: mlp_logprobs(x, mlp)[0], mlp, seed)
         self.assert_close(grads, want)
+
+    def test_a_second_backward_returns_the_same_gradients(self):
+        # A10's training world at its start: every agent's sub-graph, hidden 8
+        world = new_scenario(ScenarioConfig(Scenario.BATTLE, 10, 10, agents=14, episode_limit=30), 0)
+        dec = decompose(build_graph(world), 2)
+        rng = np.random.default_rng(17)
+        policy = new_graph_net(rng, VERTEX_DIM, 8, DEFAULT_N_MAX, N_ACTIONS, 1)
+        critic = new_graph_net(rng, VERTEX_DIM + N_ACTIONS, 8, DEFAULT_N_MAX, 1, 1, pooled=True)
+        joint = rng.integers(N_ACTIONS, size=len(dec.rows))
+        for out, trace in (
+            policy_logprobs(batch_subgraphs(dec), policy, record=True),
+            critic_values(batch_subgraphs(dec, joints=[joint]), critic, record=True),
+        ):
+            seed = rng.normal(size=out.shape)
+            first, second = backward(trace, seed), backward(trace, seed)
+            for (path, a), (_, b) in zip(first.layers(), second.layers()):
+                np.testing.assert_array_equal(a.w, b.w, err_msg=path)
+                np.testing.assert_array_equal(a.b, b.b, err_msg=path)
 
     def test_stale_trace_rejected(self):
         rng = np.random.default_rng(10)

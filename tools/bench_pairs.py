@@ -17,8 +17,12 @@ The output holds, per workload and end-to-end metric, both sides' runs,
 medians and quartiles (``numpy.percentile``, linear), the change's wins
 (pairs where it is better), its median against the parent's, and the
 parent's interquartile range as a share of its median; and per side of
-the traced runs, the counts and per-layer self times. ``--topic``,
-``--claim`` and ``--result`` are copied into the output as given.
+the traced runs, the counts and per-layer self times. Under ``probe`` it
+holds two runs per side, alternating, of the change's
+``tools/forward_probe.py`` on each side's source: the tracemalloc peaks
+and median times of one large policy forward and of the largest sweep
+calls. ``--topic``, ``--claim`` and ``--result`` are copied into the
+output as given.
 """
 
 from __future__ import annotations
@@ -135,6 +139,18 @@ def compare(roots: dict[str, Path], benchmark: dict, seconds: float, log) -> dic
     return out
 
 
+def probe(roots: dict[str, Path], log) -> dict[str, list[dict]]:
+    """Two runs per side, alternating, of the change's forward probe on each side's source."""
+    script = roots["change"] / "tools" / "forward_probe.py"
+    out: dict[str, list[dict]] = {"parent": [], "change": []}
+    for side in ("parent", "change") * 2:
+        argv = [sys.executable, str(script), "--src", str(roots[side] / "src")]
+        proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+        out[side].append(json.loads(proc.stdout))
+        log(f"probe {side}: {json.dumps(out[side][-1]['sweep'])}")
+    return out
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent")
@@ -175,6 +191,7 @@ def main(argv: list[str]) -> int:
         "claim": args.claim,
         "result": args.result,
         "workloads": compare(roots, benchmark, seconds, log),
+        "probe": probe(roots, log),
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -1,4 +1,4 @@
-"""Measure the policy forward of one large team part and of the A10 training parts.
+"""Measure the policy forward of one large team part, the A10 training parts and the sweep.
 
 Usage, from the root of a checkout:
 
@@ -19,7 +19,15 @@ with the same script. It prints one JSON object:
   ``batch_subgraphs``, of the batch and the forward, and of all three, on
   A10's training world (Battle 10x10, 14 per team; eight worlds at their
   start, seeds 0-7, both teams; depth 2, hidden 8, one round), each the
-  minimum of 15 repeats of 20 calls.
+  minimum of 15 repeats of 20 calls;
+* ``sweep``: for the largest sweep call of the first ``train-battle14``
+  batch (A10's training world, graph-ac, seed 0, eight episodes, depth 2,
+  hidden 8, one round: sixteen (episode, team) records) and of one episode
+  at the network defaults (the same world and seed, depth 3, hidden 64, two
+  rounds), the tracemalloc peak and the median time of
+  ``sweep_values(Entries(dec, executed), critic)`` on the record with the
+  most member rows, with its sub-graphs and member rows; and, for the
+  batch, the median time of all its sixteen sweep calls.
 
 ``gridmarl`` runs BLAS on one thread. tracemalloc peaks are deterministic;
 the times are not, so compare two trees in alternating runs.
@@ -53,6 +61,37 @@ def median_ms(forward, calls: int = 50) -> float:
         forward()
         times.append(time.perf_counter() - t0)
     return round(1e3 * sorted(times)[calls // 2], 2)
+
+
+def largest_sweep(batch_episodes: int, depth: int, net: dict, calls: int) -> dict:
+    """The figures of ``sweep`` above for the first batch of a fresh A10 trainer."""
+    from gridmarl.gridworld import Scenario, ScenarioConfig
+    from gridmarl.rl.trainer import (
+        Entries, NetConfig, Trainer, TrainerConfig, sweep_values, team_transitions,
+    )
+
+    cfg = ScenarioConfig(Scenario.BATTLE, 10, 10, agents=14, episode_limit=30)
+    tcfg = TrainerConfig(algorithm="graph-ac", depth=depth, batch_episodes=batch_episodes)
+    trainer = Trainer(cfg, tcfg, NetConfig(**net), seed=0)
+    episodes = [trainer._episode(0, e) for e in range(batch_episodes)]
+    records = [
+        (team_transitions(ep.steps, trainer.team, t), trainer.nets[t].critic)
+        for ep in episodes for t in trainer.teams
+    ]
+    records = [(Entries(tr.dec, tr.executed), critic) for tr, critic in records if len(tr)]
+    entries, critic = max(records, key=lambda r: int(r[0].dec.offsets[-1]))
+    call = lambda: sweep_values(entries, critic)  # noqa: E731
+    out = {
+        "subgraphs": len(entries),
+        "member_rows": int(entries.dec.offsets[-1]),
+        "peak_mib": peak_mib(call),
+        "median_ms": median_ms(call, calls),
+    }
+    if len(records) > 1:
+        out["all_calls_median_ms"] = median_ms(
+            lambda: [sweep_values(e, c) for e, c in records], max(calls // 5, 3)
+        )
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -115,7 +154,11 @@ def main(argv: list[str]) -> int:
         name: round(1e6 * min(timeit.repeat(f, number=20, repeat=15)) / 20 / len(parts), 1)
         for name, f in steps.items()
     }
-    print(json.dumps({"forward": forward, "a10_us_per_team_part": a10}, indent=1))
+    sweep = {
+        "train_battle14_batch": largest_sweep(8, 2, {"hidden": 8, "rounds": 1}, 50),
+        "defaults_episode": largest_sweep(1, 3, {}, 7),
+    }
+    print(json.dumps({"forward": forward, "a10_us_per_team_part": a10, "sweep": sweep}, indent=1))
     return 0
 
 
