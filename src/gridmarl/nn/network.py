@@ -642,6 +642,10 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
         reach_slot = np.empty(n_pairs, dtype=np.int64)
         reach_slot[reach] = np.arange(len(reach))
         index.append((e, slot[ps], slot[pd], slot[reach], reach_slot[pd], reg.vertex[reach], reach_slot[near]))
+    # a changed vertex's new change is its update's product plus this and its
+    # old change: the bias and the base pass's state entering the round less
+    # the one leaving it, once per base row and gathered per sweep
+    back = [rp.post_lin.b + kept[i][0] - kept[i + 1][0] for i, rp in enumerate(params.rounds)]
     pooled_base = ad.scatter_rows(kept[-1][0], batch.graph_of, batch.n_graphs)[batch.graph_of]
 
     dev = np.empty((batch.n_vertices(), alts))
@@ -650,7 +654,7 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
         # deviation; before round 0 the near pairs are the rows themselves
         ds = act[other[:, k]] - act[held]
         for i, rp in enumerate(params.rounds):
-            s, pre, filt, fsum, sv = kept[i]
+            _, pre, filt, fsum, sv = kept[i]
             e, at_src, at_dst, at_reach, seg, u, was = index[i]
             w_z, w_src, w_dst = np.split(rp.edge.w, [d, d + h], axis=1)
             # each temporary is (changed edges or pairs) x h: release it once used
@@ -679,7 +683,7 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
             lift = np.maximum(lift, 0.0, out=lift)
             upd = lift @ rp.post_lin.w.T
             del lift
-            upd += rp.post_lin.b + s[u] - kept[i + 1][0][u]  # less the base pass's update
+            upd += back[i][u]
             upd[was] += ds
             ds = upd
             del upd

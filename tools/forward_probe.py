@@ -26,8 +26,8 @@ with the same script. It prints one JSON object:
   at the network defaults (the same world and seed, depth 3, hidden 64, two
   rounds), the tracemalloc peak and the median time of
   ``sweep_values(Entries(dec, executed), critic)`` on the record with the
-  most member rows, with its sub-graphs and member rows; and, for the
-  batch, the median time of all its sixteen sweep calls.
+  most member rows, with its sub-graphs and member rows; and the median
+  time of all the sweep calls (sixteen for the batch, two for the episode).
 
 ``gridmarl`` runs BLAS on one thread. tracemalloc peaks are deterministic;
 the times are not, so compare two trees in alternating runs.
@@ -81,17 +81,15 @@ def largest_sweep(batch_episodes: int, depth: int, net: dict, calls: int) -> dic
     records = [(Entries(tr.dec, tr.executed), critic) for tr, critic in records if len(tr)]
     entries, critic = max(records, key=lambda r: int(r[0].dec.offsets[-1]))
     call = lambda: sweep_values(entries, critic)  # noqa: E731
-    out = {
+    return {
         "subgraphs": len(entries),
         "member_rows": int(entries.dec.offsets[-1]),
         "peak_mib": peak_mib(call),
         "median_ms": median_ms(call, calls),
-    }
-    if len(records) > 1:
-        out["all_calls_median_ms"] = median_ms(
+        "all_calls_median_ms": median_ms(
             lambda: [sweep_values(e, c) for e, c in records], max(calls // 5, 3)
-        )
-    return out
+        ),
+    }
 
 
 def main(argv: list[str]) -> int:
