@@ -615,8 +615,8 @@ def critic_deviations(batch: GraphBatch, params: NetParams) -> tuple[np.ndarray,
 
     The four alternatives are swept one after another, each through every
     round, so each temporary holds one alternative: (changed edges or
-    pairs) x h. The rounds' index arrays are computed once and shared by
-    the four sweeps.
+    pairs) x h. The rounds' index arrays and base-side update terms are
+    computed once and shared by the four sweeps.
     """
     if not params.pooled:
         raise ShapeError("deviations are defined for a pooled critic")

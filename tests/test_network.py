@@ -390,8 +390,9 @@ class TestFactoredTrunk:
 def train_battle14_record():
     """The first batch of the ``train-battle14`` workload (A10's training
     world, graph-ac, seed 0, eight episodes, depth 2, hidden 8, one round):
-    its (episode, team) record with the most member rows, as a critic batch
-    of the executed joints, and that team's critic."""
+    a function that builds its (episode, team) record with the most member
+    rows as a fresh critic batch of the executed joints, and that team's
+    critic."""
     cfg = ScenarioConfig(Scenario.BATTLE, 10, 10, agents=14, episode_limit=30)
     tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=8)
     trainer = Trainer(cfg, tcfg, NetConfig(hidden=8, rounds=1), seed=0)
