@@ -20,8 +20,10 @@ sub-graphs. The actor credits each member's ensemble draw taken before
 illegal moves are coerced to Idle, so the log-probability gradient belongs to
 the action the policy chose; the critic is trained and swept on the joint the
 world executed. Updates accumulate over a batch of episodes (summed within an
-episode, averaged across episodes, negated into the Adam minimizer); an
-optional per-step mode applies updates inside the episode instead.
+episode, averaged across episodes, negated into the Adam minimizer). Each
+episode's gradients are added as soon as it ends and its records are dropped
+before the next episode rolls out, so a batch holds one episode's records at
+a time. An optional per-step mode applies updates inside the episode instead.
 
 Episodes run one after another; each draws its world and actions from seeds
 derived from (run seed, batch, episode).
@@ -721,7 +723,8 @@ class Trainer:
     """Owns per-team networks and advances them batch by batch.
 
     Episode e of batch b always sees the world and rng streams derived from
-    (seed, b, e).
+    (seed, b, e). A batch adds each episode's gradients as the episode ends
+    and steps Adam once per team after the last one (see :meth:`train_batch`).
     """
 
     def __init__(
@@ -809,24 +812,51 @@ class Trainer:
         adam_step(params, grads, st)
 
     def train_batch(self) -> list[BatchMetrics]:
+        """Run one batch of episodes, update every team, and report one row per team.
+
+        In batch mode each episode's gradients are added to its teams' sums
+        as soon as the episode ends, and its records are dropped before the
+        next episode rolls out, so a batch holds one episode's records at a
+        time. Parameters do not move within a batch, and each team adds its
+        episodes in episode order, so the sums do not depend on when they are
+        computed. Adam then steps once per team on the sums scaled by
+        -1/episodes. In per-step mode the updates run inside each episode.
+        """
         t0 = time.perf_counter()
-        results = [self._episode(self.batch_index, e) for e in range(self.tcfg.batch_episodes)]
-        if not self.tcfg.per_step_updates:
-            self._apply_batch_updates(results)
+        sums = {} if self.tcfg.per_step_updates else {t: self._zero_grads(t) for t in self.teams}
+        stats: list[EpisodeStats] = []
+        for e in range(self.tcfg.batch_episodes):
+            ep = self._episode(self.batch_index, e)
+            stats.append(ep.stats)
+            for team, (acc_p, acc_c) in sums.items():
+                pol, cri = self._episode_grads(ep, team)
+                add_scaled_(acc_p, pol)
+                if acc_c is not None:
+                    assert cri is not None
+                    add_scaled_(acc_c, cri)
+            del ep  # released before the next episode rolls out
+        inv = -1.0 / self.tcfg.batch_episodes
+        for team, (acc_p, acc_c) in sums.items():
+            nets = self.nets[team]
+            scale_(acc_p, inv)
+            self._adam_step(team, "policy", nets.policy, acc_p, nets.adam_policy)
+            if acc_c is not None:
+                scale_(acc_c, inv)
+                assert nets.critic is not None and nets.adam_critic is not None
+                self._adam_step(team, "critic", nets.critic, acc_c, nets.adam_critic)
         seconds = time.perf_counter() - t0
         rows = []
         for team in self.teams:
             nets = self.nets[team]
-            mean_reward = float(np.mean([ep.stats.returns[team] for ep in results]))
-            wins = [ep.stats.wins.get(team) for ep in results]
+            mean_reward = float(np.mean([s.returns[team] for s in stats]))
+            wins = [s.wins.get(team) for s in stats]
             win_rate = float(np.mean(wins)) if all(w is not None for w in wins) else None
             new_lr = plateau_update(nets.sched, mean_reward)
             nets.adam_policy.lr = new_lr
             if nets.adam_critic is not None:
                 nets.adam_critic.lr = new_lr * nets.lr_ratio
-            subg = float(np.mean([ep.stats.subgraphs for ep in results]))
-            total_sub = sum(ep.stats.subgraphs for ep in results)
-            total_size = sum(ep.stats.subgraph_size_sum for ep in results)
+            total_sub = sum(s.subgraphs for s in stats)
+            total_size = sum(s.subgraph_size_sum for s in stats)
             rows.append(
                 BatchMetrics(
                     batch=self.batch_index,
@@ -835,41 +865,36 @@ class Trainer:
                     win_rate=win_rate,
                     lr=new_lr,
                     seconds=seconds,
-                    mean_alive=float(np.mean([ep.stats.alive_end[team] for ep in results])),
-                    subgraph_count=subg,
+                    mean_alive=float(np.mean([s.alive_end[team] for s in stats])),
+                    subgraph_count=float(np.mean([s.subgraphs for s in stats])),
                     mean_subgraph_size=(total_size / total_sub) if total_sub else 0.0,
                 )
             )
         self.batch_index += 1
         return rows
 
-    def _apply_batch_updates(self, results: Sequence[EpisodeResult]) -> None:
-        inv = -1.0 / len(results)
-        for team in self.teams:
-            nets = self.nets[team]
-            acc_p = zeros_like_params(nets.policy)
-            acc_c = zeros_like_params(nets.critic) if nets.critic is not None else None
-            for ep in results:
-                if self.tcfg.algorithm == "vanilla-pg":
-                    assert ep.flat is not None
-                    add_scaled_(acc_p, vanilla_episode_grads(ep.flat.get(team, []), nets, self.tcfg))
-                    continue
-                assert ep.steps is not None
-                transitions = team_transitions(ep.steps, self.team, team)
-                if self.tcfg.algorithm == "graph-ac":
-                    pol, cri = ac_episode_grads(transitions, nets, self.tcfg)
-                    add_scaled_(acc_p, pol)
-                    assert acc_c is not None
-                    add_scaled_(acc_c, cri)
-                else:
-                    add_scaled_(acc_p, graph_pg_episode_grads(transitions, nets, self.tcfg))
-                del transitions  # built just before its gradients, dropped after them
-            scale_(acc_p, inv)
-            self._adam_step(team, "policy", nets.policy, acc_p, nets.adam_policy)
-            if acc_c is not None:
-                scale_(acc_c, inv)
-                assert nets.critic is not None and nets.adam_critic is not None
-                self._adam_step(team, "critic", nets.critic, acc_c, nets.adam_critic)
+    def _zero_grads(self, team: int) -> tuple[Params, Optional[Params]]:
+        """A team's zeroed policy and (graph-ac only) critic gradient sums."""
+        nets = self.nets[team]
+        return (
+            zeros_like_params(nets.policy),
+            zeros_like_params(nets.critic) if nets.critic is not None else None,
+        )
+
+    def _episode_grads(self, ep: EpisodeResult, team: int) -> tuple[Params, Optional[Params]]:
+        """One team's policy and (graph-ac only) critic gradients of one episode.
+
+        The team's ``Transitions`` record is built here and dropped on return.
+        """
+        nets = self.nets[team]
+        if self.tcfg.algorithm == "vanilla-pg":
+            assert ep.flat is not None
+            return vanilla_episode_grads(ep.flat.get(team, []), nets, self.tcfg), None
+        assert ep.steps is not None
+        transitions = team_transitions(ep.steps, self.team, team)
+        if self.tcfg.algorithm == "graph-ac":
+            return ac_episode_grads(transitions, nets, self.tcfg)
+        return graph_pg_episode_grads(transitions, nets, self.tcfg), None
 
     def train(
         self,

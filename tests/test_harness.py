@@ -218,6 +218,32 @@ class TestMetrics:
             assert got.win_rate == want.win_rate
             assert got.lr == want.lr and got.seconds == want.seconds
             assert got.mean_alive == want.mean_alive
+            assert got.subgraph_count == want.subgraph_count
+            assert got.mean_subgraph_size == want.mean_subgraph_size
+
+    def test_reads_the_sub_graph_columns(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "# doc\n" + ",".join(COLUMNS) + "\n"
+            "2,1,0.5,,0.01,0.0,3.0,27.125,3.4700460829493087\n"
+        )
+        (row,) = read_metrics(str(path))
+        assert (row.batch, row.team, row.win_rate, row.mean_alive) == (2, 1, None, 3.0)
+        assert row.subgraph_count == 27.125
+        assert row.mean_subgraph_size == 3.4700460829493087
+
+    def test_reads_the_seven_column_layout(self, tmp_path):
+        # files written before the sub-graph columns existed
+        path = tmp_path / "old.csv"
+        path.write_text(
+            "# doc\nbatch,team,mean_reward,win_rate,lr,seconds,mean_alive\n"
+            "0,0,0.25,0.5,0.01,1.5,2.0\n1,1,-0.75,,0.005,0.0,1.0\n"
+        )
+        rows = read_metrics(str(path))
+        assert [(r.batch, r.team, r.mean_reward, r.win_rate, r.lr, r.seconds, r.mean_alive)
+                for r in rows] == [(0, 0, 0.25, 0.5, 0.01, 1.5, 2.0),
+                                   (1, 1, -0.75, None, 0.005, 0.0, 1.0)]
+        assert all(r.subgraph_count == 0.0 and r.mean_subgraph_size == 0.0 for r in rows)
 
     def test_header_and_doc_line(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -241,7 +267,11 @@ class TestMetrics:
         path.write_text("nonsense,header\n1,2\n")
         with pytest.raises(ConfigError):
             read_metrics(str(path))
-        path.write_text(",".join(COLUMNS) + "\n1,0,not_a_number,,0.01,0.0,2.0\n")
+        path.write_text(",".join(COLUMNS) + "\n1,0,not_a_number,,0.01,0.0,2.0,1.0,1.0\n")
+        with pytest.raises(ConfigError):
+            read_metrics(str(path))
+        # a seven-cell row under the nine-column header
+        path.write_text(",".join(COLUMNS) + "\n1,0,0.5,,0.01,0.0,2.0\n")
         with pytest.raises(ConfigError):
             read_metrics(str(path))
 
@@ -484,6 +514,8 @@ class TestCli:
         rows = read_metrics(str(out / "metrics.csv"))
         assert {r.team for r in rows} == {0, 1}
         assert all(r.seconds == 0.0 for r in rows)  # timing: false
+        # graph-ac: the sub-graph columns carry the batch's counts
+        assert all(r.subgraph_count > 0 and r.mean_subgraph_size >= 1.0 for r in rows)
         state = load_state(str(out / "checkpoint.gmrl"))
         assert state.batch_index == 1
 

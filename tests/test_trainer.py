@@ -526,6 +526,12 @@ def params_allclose(a, b, atol=1e-9):
         np.testing.assert_allclose(x.b, y.b, atol=atol)
 
 
+def params_equal(a, b):
+    for (_, x), (_, y) in zip(a.layers(), b.layers()):
+        np.testing.assert_array_equal(x.w, y.w)
+        np.testing.assert_array_equal(x.b, y.b)
+
+
 class TestEpisodeGrads:
     def test_piece_sums_have_the_bits_of_each_piece_summed_alone(self):
         # pieces past numpy's 8-wide unrolled and 128-long pairwise blocks
@@ -794,33 +800,45 @@ class TestExactEnumeration:
 
 
 class TestTrainer:
-    def test_batch_update_replays_by_hand(self):
-        tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=2, gamma=0.9)
-        ncfg = tiny_net_cfg()
-        tr = Trainer(battle_cfg(), tcfg, ncfg, seed=11)
-        frozen = copy.deepcopy(tr.nets)
-        tr.train_batch()
-
-        # replay: same worlds, same rngs, same update arithmetic
-        replay = Trainer(battle_cfg(), tcfg, ncfg, seed=11)
-        results = [replay._episode(0, e) for e in range(2)]
-        team_of = replay.team
+    @staticmethod
+    def replay_first_batch(cfg, tcfg, ncfg, seed):
+        """A fresh trainer's first batch done by hand the long way round: every
+        episode rolled out first, then each team's sums in episode order."""
+        replay = Trainer(cfg, tcfg, ncfg, seed=seed)
+        results = [replay._episode(0, e) for e in range(tcfg.batch_episodes)]
         for team in replay.teams:
             nets = replay.nets[team]
             acc_p = zeros_like_params(nets.policy)
-            acc_c = zeros_like_params(nets.critic)
+            acc_c = None if nets.critic is None else zeros_like_params(nets.critic)
             for ep in results:
-                trs = team_transitions(ep.steps, team_of, team)
+                if tcfg.algorithm == "vanilla-pg":
+                    add_scaled_(acc_p, vanilla_episode_grads(ep.flat[team], nets, tcfg))
+                    continue
+                trs = team_transitions(ep.steps, replay.team, team)
+                if tcfg.algorithm == "graph-pg":
+                    add_scaled_(acc_p, graph_pg_episode_grads(trs, nets, tcfg))
+                    continue
                 p, c = ac_episode_grads(trs, nets, tcfg)
                 add_scaled_(acc_p, p)
                 add_scaled_(acc_c, c)
-            scale_(acc_p, -0.5)
-            scale_(acc_c, -0.5)
+            scale_(acc_p, -1.0 / tcfg.batch_episodes)
             adam_step(nets.policy, acc_p, nets.adam_policy)
-            adam_step(nets.critic, acc_c, nets.adam_critic)
+            if acc_c is not None:
+                scale_(acc_c, -1.0 / tcfg.batch_episodes)
+                adam_step(nets.critic, acc_c, nets.adam_critic)
+        return replay
+
+    def check_batch_replay(self, cfg, tcfg, seed):
+        ncfg = tiny_net_cfg()
+        tr = Trainer(cfg, tcfg, ncfg, seed=seed)
+        frozen = copy.deepcopy(tr.nets)
+        tr.train_batch()
+        replay = self.replay_first_batch(cfg, tcfg, ncfg, seed)
         for team in replay.teams:
-            params_allclose(tr.nets[team].policy, replay.nets[team].policy, atol=1e-12)
-            params_allclose(tr.nets[team].critic, replay.nets[team].critic, atol=1e-12)
+            # streamed sums add the same terms in the same order: the same bits
+            params_equal(tr.nets[team].policy, replay.nets[team].policy)
+            if tcfg.algorithm == "graph-ac":
+                params_equal(tr.nets[team].critic, replay.nets[team].critic)
             # sanity: parameters actually moved
             diff = 0.0
             for (_, a), (_, b) in zip(
@@ -828,6 +846,56 @@ class TestTrainer:
             ):
                 diff = max(diff, float(np.max(np.abs(a.w - b.w))))
             assert diff > 0.0
+
+    def test_batch_update_replays_by_hand(self):
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=2, gamma=0.9)
+        self.check_batch_replay(battle_cfg(), tcfg, seed=11)
+
+    # the policy-gradient updates need rewards: a crowded battle has kills
+    def test_graph_pg_batch_update_replays_by_hand(self):
+        tcfg = TrainerConfig(algorithm="graph-pg", depth=2, batch_episodes=3, gamma=0.9)
+        self.check_batch_replay(battle_cfg(width=5, height=5, agents=4, episode_limit=8), tcfg, 12)
+
+    def test_vanilla_batch_update_replays_by_hand(self):
+        tcfg = TrainerConfig(algorithm="vanilla-pg", batch_episodes=3, gamma=0.9)
+        self.check_batch_replay(battle_cfg(width=5, height=5, agents=4, episode_limit=8), tcfg, 13)
+
+    @pytest.mark.parametrize("algorithm", ["graph-ac", "graph-pg", "vanilla-pg"])
+    def test_an_episodes_records_are_released_before_the_next_episode(
+        self, monkeypatch, algorithm
+    ):
+        # a batch adds each episode's gradients as it ends: when the next
+        # episode first reads its world, no record of an earlier one is alive
+        if algorithm == "vanilla-pg":
+            record, reader = "FlatStep", "all_vertex_features"
+        else:
+            record, reader = "StepData", "build_graph"
+        records, new_episode, at_first_read, at_later_reads = [], [False], [], []
+
+        class Tracked(getattr(trainer, record)):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                records.append(weakref.ref(self))
+
+        plain_read, plain_world = getattr(trainer, reader), Trainer._world
+
+        def read(world):
+            alive = sum(ref() is not None for ref in records)
+            (at_first_read if new_episode[0] else at_later_reads).append(alive)
+            new_episode[0] = False
+            return plain_read(world)
+
+        def world(self, batch, ep):
+            new_episode[0] = True
+            return plain_world(self, batch, ep)
+
+        monkeypatch.setattr(trainer, record, Tracked)
+        monkeypatch.setattr(trainer, reader, read)
+        monkeypatch.setattr(Trainer, "_world", world)
+        tcfg = TrainerConfig(algorithm=algorithm, depth=2, batch_episodes=3)
+        Trainer(battle_cfg(), tcfg, tiny_net_cfg(), seed=4).train_batch()
+        assert at_first_read == [0, 0, 0]
+        assert max(at_later_reads) > 0  # within an episode its records are kept
 
     def test_per_step_update_replays_by_hand(self, monkeypatch):
         tcfg = TrainerConfig(

@@ -1,4 +1,4 @@
-"""Measure the policy forward of one large team part, the A10 training parts and the sweep.
+"""Measure the policy forward of one large team part, the A10 training parts, the sweep and a batch.
 
 Usage, from the root of a checkout:
 
@@ -27,7 +27,10 @@ with the same script. It prints one JSON object:
   rounds), the tracemalloc peak and the median time of
   ``sweep_values(Entries(dec, executed), critic)`` on the record with the
   most member rows, with its sub-graphs and member rows; and the median
-  time of all the sweep calls (sixteen for the batch, two for the episode).
+  time of all the sweep calls (sixteen for the batch, two for the episode);
+* ``batch``: the tracemalloc peak of one ``Trainer.train_batch()`` of a
+  fresh trainer on A10's training world (graph-ac, seed 0, depth 2, hidden
+  8, one round) at 8 and at 100 episodes, and the second over the first.
 
 ``gridmarl`` runs BLAS on one thread. tracemalloc peaks are deterministic;
 the times are not, so compare two trees in alternating runs.
@@ -90,6 +93,21 @@ def largest_sweep(batch_episodes: int, depth: int, net: dict, calls: int) -> dic
             lambda: [sweep_values(e, c) for e, c in records], max(calls // 5, 3)
         ),
     }
+
+
+def batch_peaks() -> dict:
+    """The figures of ``batch`` above."""
+    from gridmarl.gridworld import Scenario, ScenarioConfig
+    from gridmarl.rl.trainer import NetConfig, Trainer, TrainerConfig
+
+    cfg = ScenarioConfig(Scenario.BATTLE, 10, 10, agents=14, episode_limit=30)
+    out = {}
+    for episodes in (8, 100):
+        tcfg = TrainerConfig(algorithm="graph-ac", depth=2, batch_episodes=episodes)
+        trainer = Trainer(cfg, tcfg, NetConfig(hidden=8, rounds=1), seed=0)
+        out[f"episodes_{episodes}_peak_mib"] = peak_mib(trainer.train_batch)
+    out["peak_ratio_100_to_8"] = round(out["episodes_100_peak_mib"] / out["episodes_8_peak_mib"], 3)
+    return out
 
 
 def main(argv: list[str]) -> int:
@@ -156,7 +174,8 @@ def main(argv: list[str]) -> int:
         "train_battle14_batch": largest_sweep(8, 2, {"hidden": 8, "rounds": 1}, 50),
         "defaults_episode": largest_sweep(1, 3, {}, 7),
     }
-    print(json.dumps({"forward": forward, "a10_us_per_team_part": a10, "sweep": sweep}, indent=1))
+    result = {"forward": forward, "a10_us_per_team_part": a10, "sweep": sweep, "batch": batch_peaks()}
+    print(json.dumps(result, indent=1))
     return 0
 
 
