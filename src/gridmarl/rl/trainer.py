@@ -855,6 +855,7 @@ class Trainer:
             nets.adam_policy.lr = new_lr
             if nets.adam_critic is not None:
                 nets.adam_critic.lr = new_lr * nets.lr_ratio
+            subg = float(np.mean([s.subgraphs for s in stats]))
             total_sub = sum(s.subgraphs for s in stats)
             total_size = sum(s.subgraph_size_sum for s in stats)
             rows.append(
@@ -866,7 +867,7 @@ class Trainer:
                     lr=new_lr,
                     seconds=seconds,
                     mean_alive=float(np.mean([s.alive_end[team] for s in stats])),
-                    subgraph_count=float(np.mean([s.subgraphs for s in stats])),
+                    subgraph_count=subg,
                     mean_subgraph_size=(total_size / total_sub) if total_sub else 0.0,
                 )
             )
