@@ -7,6 +7,12 @@ see is the Euclidean edge length expanded in a Gaussian radial basis, so the
 whole pipeline is invariant to translations, rotations and mirrorings of the
 board.
 
+:func:`build_graph` reads the board by flat cell id (see ``gridworld``):
+each living agent stands on one id of the world's padded board, and its
+window is that id plus nine fixed offsets. One count of agents per cell
+gives the occupants of every window, and each feature channel is one gather
+of a flat board at the window ids, written into the feature table in place.
+
 Each agent trains and acts on its own neighbourhood: :func:`decompose` cuts
 the graph into one sub-graph per agent holding everything within ``depth``
 breadth-first hops of it. Members are listed in breadth-first order with ties
@@ -43,10 +49,12 @@ from .errors import DomainError, EmptyWorld, MemberNotFound
 from .gridworld import (
     CH_FOOD,
     CH_LANDMARK,
+    CH_OTHER,
     CH_OWN,
     CH_WALL,
     GridWorld,
     N_CHANNELS,
+    OBS_CELLS,
     OBS_SIZE,
     window,
 )
@@ -85,35 +93,38 @@ def vertex_features(world: GridWorld, agent_id: int) -> np.ndarray:
     return np.concatenate([onehot, world.observe(agent_id).reshape(OBS_SIZE)])
 
 
-def _alive(world: GridWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Ids, x, y and team of every living agent, ids ascending."""
+def _alive(world: GridWorld) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, flat cell ids and teams of every living agent, ids ascending."""
     ids = np.flatnonzero(world.alive)
     if not len(ids):
         raise EmptyWorld("no living agents")
-    xs, ys = world.pos[ids].T
-    return ids, xs, ys, world.team[ids]
+    return ids, world.cells(ids), world.team[ids]
 
 
-def _features(world: GridWorld, xs: np.ndarray, ys: np.ndarray, teams: np.ndarray) -> np.ndarray:
-    """Vertex features of the living agents at (xs, ys) of the given teams.
+def _features(
+    world: GridWorld, cells: np.ndarray, win: np.ndarray, teams: np.ndarray
+) -> np.ndarray:
+    """Vertex features of the living agents on flat ``cells`` of the given teams.
 
-    Every channel is a window of one of the world's padded boards.
+    ``win`` holds the agents' windows (:meth:`GridWorld.windows`). Every
+    channel is read from one of the world's padded boards at the window
+    cells, straight into the table's patch columns.
     """
-    n = len(xs)
-    patch = np.zeros((n, 3, 3, N_CHANNELS))
-    patch[..., CH_WALL] = window(world.wall_board, xs, ys)
-    patch[..., CH_FOOD] = window(world.food_board, xs, ys)
-    home = (teams == 0)[:, None, None]
-    patch[..., CH_LANDMARK] = window(world.landmark_board, xs, ys) + home * window(world.target_board, xs, ys)
-    counts = window(world.occupancy(xs, ys, teams), xs, ys)  # (2, n, 3, 3)
-    own = counts[teams, np.arange(n)]
-    own[:, 1, 1] -= 1  # the observer never counts itself
+    n = len(cells)
+    out = np.zeros((n, VERTEX_DIM))
+    out[np.arange(n), teams] = 1.0
+    patch = out[:, 2:].reshape(n, OBS_CELLS, N_CHANNELS)  # a view of the table
+    patch[..., CH_WALL] = window(world.wall_board, win)
+    patch[..., CH_FOOD] = window(world.food_board, win)
+    home = (teams == 0)[:, None]
+    patch[..., CH_LANDMARK] = window(world.landmark_board, win) + home * window(world.target_board, win)
+    counts = world.occupancy(cells, teams).ravel()  # team after team, each a flat board
+    size = world.enterable.size
+    own = counts[teams[:, None] * size + win]
+    own[:, OBS_CELLS // 2] -= 1  # the observer never counts itself
     patch[..., CH_OWN] = own
-    patch[..., CH_OWN + 1] = counts[1 - teams, np.arange(n)]
-
-    onehot = np.zeros((n, 2))
-    onehot[np.arange(n), teams] = 1.0
-    return np.concatenate([onehot, patch.reshape(n, OBS_SIZE)], axis=1)
+    patch[..., CH_OTHER] = counts[(1 - teams)[:, None] * size + win]
+    return out
 
 
 def all_vertex_features(world: GridWorld) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +132,8 @@ def all_vertex_features(world: GridWorld) -> tuple[np.ndarray, np.ndarray]:
 
     Vectorized equivalent of calling :func:`vertex_features` per agent.
     """
-    ids, xs, ys, teams = _alive(world)
-    return ids, _features(world, xs, ys, teams)
+    ids, cells, teams = _alive(world)
+    return ids, _features(world, cells, world.windows(cells), teams)
 
 
 def _segment_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -186,27 +197,27 @@ _WINDOW_LEN = np.sqrt(np.add.outer([1.0, 0.0, 1.0], [1.0, 0.0, 1.0])).ravel()
 def build_graph(world: GridWorld) -> EnvGraph:
     """Snapshot the interaction graph of the world's living agents.
 
-    Neighbour pairs come from sorting the agents by padded cell index: each
-    agent looks up the agents of the nine cells of its window in the sorted
-    order. Pairs are listed by u, then by window cell in row-major order,
-    then by ascending v.
+    Neighbour pairs come from counting the agents per flat cell id: sorted
+    by cell, each cell's agents hold a run of slots that starts at the sum
+    of the counts of the cells before it, so each agent reads the occupants
+    of the nine cells of its window by their counts and first slots. Pairs
+    are listed by u, then by window cell in row-major order, then by
+    ascending v.
     """
-    ids, xs, ys, teams = _alive(world)
-    index = np.arange((world.height + 2) * (world.width + 2)).reshape(world.height + 2, -1)
-    cells = window(index, xs, ys).reshape(len(ids), len(_WINDOW_LEN))
-    cell = cells[:, len(_WINDOW_LEN) // 2]  # each agent's own
+    ids, cell, teams = _alive(world)
+    win = world.windows(cell)  # (n, 9)
+    count = np.bincount(cell, minlength=world.enterable.size)
+    first = np.cumsum(count) - count
     by_cell = np.argsort(cell, kind="stable")  # within a cell, ascending local index
-    sorted_cells = cell[by_cell]
-    lo = np.searchsorted(sorted_cells, cells, side="left").ravel()
-    hits = np.searchsorted(sorted_cells, cells, side="right").ravel() - lo
+    hits = count[win].ravel()
     # one candidate per (u, window cell, occupant), in that order
-    cand = np.repeat(np.arange(len(lo)), hits)
-    v = by_cell[_segment_arange(lo, hits)]
+    cand = np.repeat(np.arange(hits.size), hits)
+    v = by_cell[_segment_arange(first[win].ravel(), hits)]
     u = cand // len(_WINDOW_LEN)
     keep = v > u
     return EnvGraph(
         ids=ids,
-        features=_features(world, xs, ys, teams),
+        features=_features(world, cell, win, teams),
         edges=np.stack([u[keep], v[keep]], axis=1),
         dists=_WINDOW_LEN[cand[keep] % len(_WINDOW_LEN)],
     )

@@ -26,10 +26,13 @@ centre-cell count. In deception, home observers see the target landmark as
 The world owns the grid's cell layout. At construction it derives padded
 static boards, (height + 2) x (width + 2) with a one-cell border, from its
 fixed fields: the cells an agent may enter, and the wall/out-of-bounds,
-food, landmark and target channels. Cell (x, y) is board[y + 1, x + 1], so
-:func:`window` gathers any cell's 3x3 window with no bounds handling. A step
-reads all its rules from these boards and one per-team count of agents per
-cell, for every agent at once.
+food, landmark and target channels. Cell (x, y) is board[y + 1, x + 1], and
+its flat cell id is (y + 1) * (width + 2) + x + 1, its index into the board
+read flat (:meth:`GridWorld.cells`). Its 3x3 window is that id plus nine
+fixed offsets (:meth:`GridWorld.windows`), which never leave the board, so
+:func:`window` reads any board's windows as one flat gather with no bounds
+handling. A step reads all its rules from these boards and one per-team count
+of agents per cell (:meth:`GridWorld.occupancy`), for every agent at once.
 
 The world also owns its agents' state, as arrays indexed by agent id:
 ``team``, ``pos`` (x then y), ``alive`` and ``streak``. An
@@ -81,25 +84,25 @@ OBS_SIZE = OBS_CELLS * N_CHANNELS
 
 # (dx, dy) per action, in action order
 _MOVE_XY = np.array([MOVES[a] for a in Action], dtype=np.int64)
-# padded-board offsets of a 3x3 window, row = dy + 1, col = dx + 1
-_WIN_ROW, _WIN_COL = np.mgrid[0:3, 0:3]
+# dy and dx of a 3x3 window's cells, row-major
+_WIN_DY, _WIN_DX = np.mgrid[-1:2, -1:2].reshape(2, OBS_CELLS)
 # weights of the window's cells, row-major: the ring is the eight outer ones
 _RING = np.array([1, 1, 1, 1, 0, 1, 1, 1, 1])
 
 
-def window(board: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The 3x3 windows of a padded board around the cells (x, y).
+def window(board: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """A padded board's values at the flat cell ids ``win``.
 
-    ``board`` may carry leading axes; the result has shape
-    ``board.shape[:-2] + (len(x), 3, 3)``, indexed row = dy + 1, col = dx + 1.
+    ``win`` comes from :meth:`GridWorld.windows` of the board's world.
+    ``board`` may carry leading axes, which the result keeps: its shape is
+    ``board.shape[:-2] + win.shape``.
     """
-    return board[..., y[:, None, None] + _WIN_ROW, x[:, None, None] + _WIN_COL]
+    return np.take(board.reshape(board.shape[:-2] + (-1,)), win, axis=-1)
 
 
-def _ring(board: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sums over the eight cells around each cell (x, y), its own excluded."""
-    win = window(board, x, y)
-    return win.reshape(win.shape[:-2] + (9,)) @ _RING
+def _ring(board: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """Sums over the eight outer cells of each window of ``win``."""
+    return window(board, win) @ _RING
 
 
 class Scenario(str, Enum):
@@ -252,6 +255,7 @@ class GridWorld:
     food_board: np.ndarray = field(init=False, repr=False)
     landmark_board: np.ndarray = field(init=False, repr=False)
     target_board: np.ndarray = field(init=False, repr=False)
+    win_offsets: np.ndarray = field(init=False, repr=False)  # (9,) see windows
 
     def __post_init__(self) -> None:
         self.team = np.array(self.team, dtype=np.int64)
@@ -275,6 +279,7 @@ class GridWorld:
         tgt = self.target_cell()
         self.target_board = board([tgt] if tgt is not None else [])
         self.enterable = (self.wall_board + self.food_board) == 0.0
+        self.win_offsets = _WIN_DY * (self.width + 2) + _WIN_DX
 
     # -- basic queries ---------------------------------------------------
 
@@ -291,6 +296,18 @@ class GridWorld:
 
     def target_cell(self) -> Optional[Position]:
         return self.landmarks[self.target] if self.target >= 0 else None
+
+    def cells(self, ids: np.ndarray) -> np.ndarray:
+        """The flat padded-board cell id of each agent of ``ids``."""
+        x, y = self.pos[ids].T
+        return (y + 1) * (self.width + 2) + x + 1
+
+    def windows(self, cells: np.ndarray) -> np.ndarray:
+        """(len(cells), 9) flat ids of the 3x3 windows around flat cell ids.
+
+        A window's cells are listed row-major: dy then dx, each from -1 to 1.
+        """
+        return cells[:, None] + self.win_offsets
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -364,11 +381,14 @@ class GridWorld:
                     patch[row, col, ch] += 1.0
         return patch
 
-    def occupancy(self, x: np.ndarray, y: np.ndarray, team: np.ndarray) -> np.ndarray:
-        """Padded (2, height + 2, width + 2) count of agents per team and cell."""
-        counts = np.zeros((2, self.height + 2, self.width + 2), dtype=np.int64)
-        np.add.at(counts, (team, y + 1, x + 1), 1)
-        return counts
+    def occupancy(self, cells: np.ndarray, team: np.ndarray) -> np.ndarray:
+        """Padded (2, height + 2, width + 2) count of agents per team and cell.
+
+        The agents stand on flat cell ids ``cells`` and are of teams ``team``.
+        """
+        size = self.enterable.size
+        counts = np.bincount(team * size + cells, minlength=2 * size)
+        return counts.reshape(2, self.height + 2, self.width + 2)
 
     # -- dynamics ---------------------------------------------------------
 
@@ -396,11 +416,12 @@ class GridWorld:
 
         # simultaneous movement; illegal moves fall back to Idle
         self.pos[ids] += _MOVE_XY[self.coerce(ids, acts)]
-        x, y = self.pos[ids].T
+        cells = self.cells(ids)
+        win = self.windows(cells)
         team = self.team[ids]
 
         # kills on post-move positions; all deaths land together
-        near = _ring(self.occupancy(x, y, team), x, y)  # (2, n) neighbours per team
+        near = _ring(self.occupancy(cells, team), win)  # (2, n) neighbours per team
         dead = np.zeros(len(ids), dtype=bool)
         if self.scenario is Scenario.JUNGLE:
             streak = np.where(near.sum(axis=0) > 0, self.streak[ids] + 1, 0)
@@ -418,7 +439,7 @@ class GridWorld:
         elif self.scenario is Scenario.BATTLE:
             done = done or bool(alive.min() == 0)
 
-        rewards = self._rewards(x, y, team, done)
+        rewards = self._rewards(cells, win, team, done)
         self.finished = done
         return StepOutcome(
             rewards=dict(zip(ids.tolist(), rewards.tolist())),
@@ -426,18 +447,20 @@ class GridWorld:
             done=done,
         )
 
-    def _rewards(self, x: np.ndarray, y: np.ndarray, team: np.ndarray, done: bool) -> np.ndarray:
-        """Each mover's reward, from its post-move cell and team."""
+    def _rewards(
+        self, cells: np.ndarray, win: np.ndarray, team: np.ndarray, done: bool
+    ) -> np.ndarray:
+        """Each mover's reward, from its post-move flat cell, its window and its team."""
         if self.scenario is Scenario.JUNGLE:
-            return (_ring(self.food_board, x, y) > 0).astype(np.float64)
+            return (_ring(self.food_board, win) > 0).astype(np.float64)
         won = self.wins() if done else {}
         if self.scenario is Scenario.BATTLE and any(won.values()):
             return np.where(team == (0 if won[0] else 1), 1.0, -1.0)
         if self.scenario is Scenario.DECEPTION and done:
-            on_target = self.target_board[y + 1, x + 1] > 0
+            on_target = self.target_board.ravel()[cells] > 0
             # home agents share their team's result; an adversary scores by its own cell
             return np.where(team == 0, 1.0 if won[0] else -1.0, np.where(on_target, 1.0, -1.0))
-        return np.zeros(len(x))
+        return np.zeros(len(cells))
 
 
 def new_scenario(cfg: ScenarioConfig, seed: int) -> GridWorld:
@@ -448,30 +471,32 @@ def new_scenario(cfg: ScenarioConfig, seed: int) -> GridWorld:
     """
     validate_scenario(cfg)
     rng = np.random.default_rng(seed)
-    cells = [Position(x, y) for y in range(cfg.height) for x in range(cfg.width)]
-    free = iter([cells[i] for i in rng.permutation(len(cells))])
-
-    def take(n: int) -> list[Position]:
-        return [next(free) for _ in range(n)]
-
-    walls = frozenset(take(cfg.walls))
-    foods = frozenset(take(cfg.foods))
-    landmarks = tuple(take(cfg.landmarks))
-    target = int(rng.integers(len(landmarks))) if landmarks else -1
-
+    # row-major cell ids of the unpadded grid, in placement order
+    free = rng.permutation(cfg.width * cfg.height)
     sizes = cfg.team_sizes()
     n = sum(sizes)
+    ends = np.cumsum([cfg.walls, cfg.foods, cfg.landmarks, n])
+    wall_ids, food_ids, landmark_ids, agent_ids = np.split(free[: ends[-1]], ends[:-1])
+
+    def positions(ids: np.ndarray) -> list[Position]:
+        y, x = np.divmod(ids, cfg.width)
+        return list(map(Position, x.tolist(), y.tolist()))
+
+    y, x = np.divmod(agent_ids, cfg.width)
+
+    landmarks = tuple(positions(landmark_ids))
+    target = int(rng.integers(len(landmarks))) if landmarks else -1
 
     return GridWorld(
         scenario=cfg.scenario,
         width=cfg.width,
         height=cfg.height,
-        walls=walls,
-        foods=foods,
+        walls=frozenset(positions(wall_ids)),
+        foods=frozenset(positions(food_ids)),
         landmarks=landmarks,
         target=target,
         team=np.repeat(np.arange(len(sizes)), sizes),
-        pos=take(n),
+        pos=np.stack([x, y], axis=1),
         alive=np.ones(n, dtype=bool),
         streak=np.zeros(n, dtype=np.int64),
         episode_limit=cfg.limit(),

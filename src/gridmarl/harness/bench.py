@@ -1,10 +1,11 @@
 """Wall-clock scaling benchmark: update a fixed episode budget at several N.
 
 For each requested agent count the grid is re-sized so the agents-per-cell
-density (and the food-per-agent ratio) of the base config is preserved, a
-full batch of episode worlds is built up front, and only then does the
-timer start around the rollout-and-update loop. Reported seconds therefore
-exclude environment construction.
+density (and the food-per-agent ratio) of the base config is preserved, and
+one training batch is timed around its rollout-and-update loop. Each
+episode's world is built when the episode starts, so the batch holds one
+world at a time, and the time spent building it is taken off the batch's.
+Reported seconds therefore exclude environment construction.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigError, ResourceError
-from ..gridworld import GridWorld, ScenarioConfig, new_scenario, validate_scenario
-from ..rl.trainer import Trainer
+from ..gridworld import GridWorld, ScenarioConfig, validate_scenario
+from ..rl.trainer import Trainer, episode_world
 from .config import RunConfig
 
 BENCH_COLUMNS = ("agents", "total_agents", "width", "height", "episodes", "seconds")
@@ -92,14 +92,8 @@ def run_bench(
         scen = scaled_scenario(cfg.scenario, n, limit)
         tcfg = dataclasses.replace(cfg.trainer, batch_episodes=episodes)
         try:
-            worlds = _prebuilt_worlds(scen, cfg.run.seed, episodes)
-            trainer = Trainer(
-                scen,
-                tcfg,
-                cfg.network,
-                seed=cfg.run.seed,
-                world_factory=lambda b, e, pool=worlds: pool[e],
-            )
+            worlds = _TimedWorlds(scen, cfg.run.seed)
+            trainer = Trainer(scen, tcfg, cfg.network, seed=cfg.run.seed, world_factory=worlds)
             metrics = trainer.train_batch()
         except MemoryError as e:
             raise ResourceError(f"agent count {n} exceeded available memory") from e
@@ -110,18 +104,26 @@ def run_bench(
                 width=scen.width,
                 height=scen.height,
                 episodes=episodes,
-                seconds=metrics[0].seconds,
+                seconds=metrics[0].seconds - worlds.seconds,
             )
         )
     return rows
 
 
-def _prebuilt_worlds(scen: ScenarioConfig, seed: int, episodes: int) -> list[GridWorld]:
-    out = []
-    for e in range(episodes):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(1, 0, e))
-        out.append(new_scenario(scen, int(ss.generate_state(1)[0])))
-    return out
+class _TimedWorlds:
+    """A world factory that builds each episode's world as :class:`Trainer`
+    would, and sums the seconds spent building."""
+
+    def __init__(self, scen: ScenarioConfig, seed: int):
+        self.scen = scen
+        self.seed = seed
+        self.seconds = 0.0
+
+    def __call__(self, batch: int, ep: int) -> GridWorld:
+        t0 = time.perf_counter()
+        world = episode_world(self.scen, self.seed, batch, ep)
+        self.seconds += time.perf_counter() - t0
+        return world
 
 
 def format_bench_table(rows: Sequence[BenchRow]) -> str:

@@ -236,6 +236,15 @@ class EpisodeResult:
     stats: EpisodeStats
 
 
+def _distinct(values: np.ndarray) -> list[int]:
+    """The distinct values of non-negative ints, ascending.
+
+    ``np.unique`` gives the same list, but its first call imports
+    ``numpy.ma``, about 1 MiB of memory that nothing else needs.
+    """
+    return np.flatnonzero(np.bincount(values)).tolist()
+
+
 def _episode_stats(
     world: GridWorld,
     agent_returns: np.ndarray,
@@ -244,7 +253,7 @@ def _episode_stats(
     size_sum: int,
 ) -> EpisodeStats:
     """``agent_returns`` holds each agent's summed rewards, indexed by id."""
-    teams = np.unique(world.team).tolist()
+    teams = _distinct(world.team)
     return EpisodeStats(
         steps=steps,
         returns={t: float(np.mean(agent_returns[world.team == t])) for t in teams},
@@ -272,7 +281,7 @@ def _graph_step(
     # an agent ensembles its rows of its own team's sub-graphs, grouped by
     # agent in ascending centre order
     who, dists = [np.empty(0, dtype=np.int64)], [np.empty((0, N_ACTIONS))]
-    for team in np.unique(centre_team).tolist():
+    for team in _distinct(centre_team):
         if team in random_teams:
             continue
         dec = decompose(
@@ -353,7 +362,7 @@ def _flat_step(
     """One tick of the vanilla pipeline; returns per-team row records."""
     ids, feats = all_vertex_features(world)
     team = world.team[ids]  # of each feature row
-    teams = np.unique(world.team).tolist()
+    teams = _distinct(world.team)
     probs = np.empty((len(ids), N_ACTIONS))
     for t in teams:
         mask = team == t
@@ -395,7 +404,7 @@ def rollout_flat(
     random_teams: frozenset[int] = frozenset(),
 ) -> EpisodeResult:
     """Vanilla rollout: every agent acts on its own observation alone."""
-    flat: dict[int, list[FlatStep]] = {t: [] for t in np.unique(world.team).tolist()}
+    flat: dict[int, list[FlatStep]] = {t: [] for t in _distinct(world.team)}
     agent_returns = np.zeros(len(world.team))
     n_steps = 0
     while not world.finished:
@@ -556,7 +565,7 @@ def _piece_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """
     out = np.empty(len(sizes))
     first = np.cumsum(sizes) - sizes
-    for m in np.unique(sizes).tolist():
+    for m in _distinct(sizes):
         k = np.flatnonzero(sizes == m)
         out[k] = x[first[k][:, None] + np.arange(m)].sum(axis=1)
     return out
@@ -719,6 +728,12 @@ class BatchMetrics:
     mean_subgraph_size: float
 
 
+def episode_world(scenario: ScenarioConfig, seed: int, batch: int, ep: int) -> GridWorld:
+    """The world of episode ``ep`` of batch ``batch`` of a trainer seeded ``seed``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(1, batch, ep))
+    return new_scenario(scenario, int(ss.generate_state(1)[0]))
+
+
 class Trainer:
     """Owns per-team networks and advances them batch by batch.
 
@@ -743,7 +758,7 @@ class Trainer:
         self.ncfg = network
         self.seed = seed
         self.team = probe.team  # of each agent id
-        self.teams = np.unique(self.team).tolist()
+        self.teams = _distinct(self.team)
         self.nets = {
             t: new_team_nets(
                 trainer,
@@ -758,8 +773,7 @@ class Trainer:
     def _world(self, batch: int, ep: int) -> GridWorld:
         if self._world_factory is not None:
             return self._world_factory(batch, ep)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(1, batch, ep))
-        return new_scenario(self.scenario, int(ss.generate_state(1)[0]))
+        return episode_world(self.scenario, self.seed, batch, ep)
 
     def _rng(self, batch: int, ep: int) -> np.random.Generator:
         return np.random.default_rng(

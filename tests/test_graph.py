@@ -2,6 +2,7 @@
 
 import decimal
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gridmarl import (
 )
 from gridmarl.graph import Decomposition, EnvGraph, SubGraph, _rbe_rows
 from gridmarl.nn import batch_subgraphs
+from test_gridworld import rules_world
 
 
 def rbe_oracle(d: float, delta_d: float, n_max: int) -> list[float]:
@@ -153,6 +155,39 @@ def stacked_world(rng: np.random.Generator, scenario: Scenario):
     return w
 
 
+def board_world(rng: np.random.Generator, kind: Scenario):
+    """A random world of ``kind`` with stacked and dead agents, some living
+    agents moved onto enterable cells of the board's edge."""
+    w = rules_world(rng, kind)
+    edge = [
+        Position(x, y) for y in range(w.height) for x in range(w.width)
+        if (x in (0, w.width - 1) or y in (0, w.height - 1)) and w.enterable[y + 1, x + 1]
+    ]
+    for a in w.agents:
+        if edge and rng.random() < 0.2:
+            a.pos = edge[int(rng.integers(len(edge)))]
+    return w
+
+
+def loop_pairs(world) -> tuple[list[tuple[int, int]], list[float]]:
+    """Reference neighbour search, one agent at a time.
+
+    For each living agent u (local index, ids ascending), the nine cells of
+    its window row-major, and in each cell the living agents v > u,
+    ascending: the order :func:`build_graph` documents.
+    """
+    pos = [tuple(a.pos) for a in world.alive_agents()]
+    pairs, dists = [], []
+    for u, (x, y) in enumerate(pos):
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                for v in range(u + 1, len(pos)):
+                    if pos[v] == (x + dx, y + dy):
+                        pairs.append((u, v))
+                        dists.append(math.sqrt(dx * dx + dy * dy))
+    return pairs, dists
+
+
 class TestRbe:
     def test_matches_decimal_oracle(self):
         rng = np.random.default_rng(0)
@@ -194,6 +229,16 @@ class TestVertexFeatures:
                 assert np.array_equal(single[:2], onehot)
                 assert np.array_equal(single[2:], w.observe(int(aid)).ravel())
 
+    @pytest.mark.parametrize("kind", list(Scenario))
+    def test_tables_match_per_agent_features_on_every_scenario(self, kind):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            w = board_world(rng, kind)
+            ids, feats = all_vertex_features(w)
+            assert np.array_equal(build_graph(w).features, feats)
+            want = np.stack([vertex_features(w, int(aid)) for aid in ids])
+            assert np.array_equal(feats, want)
+
     def test_empty_world_raises(self):
         w = random_world(np.random.default_rng(1))
         for a in w.agents:
@@ -210,6 +255,22 @@ class TestBuildGraph:
             g = build_graph(w)
             got = sorted((int(u), int(v)) for u, v in g.edges)
             assert got == brute_force_edges(w)
+
+    @pytest.mark.parametrize("kind", list(Scenario))
+    def test_pairs_come_in_the_documented_order(self, kind):
+        rng = np.random.default_rng(23)
+        seen = {"stacked": 0, "edge": 0, "dead": 0}
+        for _ in range(40):
+            w = board_world(rng, kind)
+            g = build_graph(w)
+            pairs, dists = loop_pairs(w)
+            assert [tuple(e) for e in g.edges.tolist()] == pairs
+            assert g.dists.tolist() == dists
+            living = list(w.alive_agents())
+            seen["stacked"] += 0.0 in dists
+            seen["edge"] += any(a.pos.x in (0, w.width - 1) for a in living)
+            seen["dead"] += len(living) < len(w.agents)
+        assert all(seen.values()), seen
 
     def test_distances_are_euclidean(self):
         rng = np.random.default_rng(11)

@@ -64,12 +64,61 @@ def idle_joint(world: GridWorld):
     return {a.id: Action.IDLE for a in world.alive_agents()}
 
 
+def list_new_scenario(cfg: ScenarioConfig, seed: int) -> GridWorld:
+    """Reference placement: one Position per cell, taken in permutation order."""
+    rng = np.random.default_rng(seed)
+    cells = [Position(x, y) for y in range(cfg.height) for x in range(cfg.width)]
+    free = iter([cells[i] for i in rng.permutation(len(cells))])
+
+    def take(n: int) -> list[Position]:
+        return [next(free) for _ in range(n)]
+
+    walls = frozenset(take(cfg.walls))
+    foods = frozenset(take(cfg.foods))
+    landmarks = tuple(take(cfg.landmarks))
+    target = int(rng.integers(len(landmarks))) if landmarks else -1
+    sizes = cfg.team_sizes()
+    n = sum(sizes)
+    return GridWorld(
+        scenario=cfg.scenario,
+        width=cfg.width,
+        height=cfg.height,
+        walls=walls,
+        foods=foods,
+        landmarks=landmarks,
+        target=target,
+        team=np.repeat(np.arange(len(sizes)), sizes),
+        pos=take(n),
+        alive=np.ones(n, dtype=bool),
+        streak=np.zeros(n, dtype=np.int64),
+        episode_limit=cfg.limit(),
+    )
+
+
 class TestConstruction:
     def test_all_entities_on_distinct_cells(self):
         for seed in range(20):
             w = jungle(w=5, h=5, agents=8, foods=4, walls=3, seed=seed)
             cells = list(w.walls) + list(w.foods) + [a.pos for a in w.agents]
             assert len(cells) == len(set(cells))
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(Scenario.JUNGLE, 9, 7, agents=12, foods=5, walls=4),
+        ScenarioConfig(Scenario.BATTLE, 8, 9, agents=10, walls=6),
+        ScenarioConfig(Scenario.DECEPTION, 7, 6, agents=4, landmarks=3, adversaries=2, walls=3),
+    ], ids=lambda cfg: cfg.scenario.value)
+    def test_matches_the_list_placement(self, cfg):
+        boards = ("enterable", "wall_board", "food_board", "landmark_board", "target_board")
+        for seed in range(20):
+            got, want = new_scenario(cfg, seed), list_new_scenario(cfg, seed)
+            assert (got.walls, got.foods, got.landmarks, got.target) == (
+                want.walls, want.foods, want.landmarks, want.target
+            )
+            assert all(type(c) is int for p in got.landmarks for c in p)
+            assert got.pos.dtype == want.pos.dtype and np.array_equal(got.pos, want.pos)
+            assert np.array_equal(got.team, want.team)
+            for name in boards:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_same_seed_same_world(self):
         a, b = jungle(seed=11), jungle(seed=11)

@@ -1,10 +1,12 @@
 """Config parsing, metrics files, frames, checkpoints, bench, the CLI."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -35,12 +37,14 @@ from gridmarl.harness import (
     save_state,
     scaled_scenario,
 )
+from gridmarl.harness import bench
 from gridmarl.harness.bench import bench_csv, format_bench_table
 from gridmarl.harness.frames import dump_record
 from gridmarl.harness.cli import main
 from gridmarl.harness.config import OUT_DIR_ENV
 from gridmarl.harness.metrics import COLUMNS
 from gridmarl.rl import BatchMetrics, NetConfig, TrainerConfig, new_team_nets
+from gridmarl.rl.trainer import episode_world
 
 GOOD_YAML = """
 scenario:
@@ -494,6 +498,26 @@ class TestBench:
         lines = csv.strip().splitlines()
         assert lines[0] == "agents,total_agents,width,height,episodes,seconds"
         assert len(lines) == 3
+
+    def test_run_bench_frees_each_world_before_the_next_episode(self, monkeypatch, tmp_path):
+        cfg = parse_config(
+            "scenario: {type: jungle, width: 8, height: 8, agents: 3, foods: 1, episode_limit: 2}\n"
+            "trainer: {algorithm: graph-ac, depth: 1}\n"
+            "network: {hidden: 4, rounds: 1}\n"
+            f"run: {{out_dir: {tmp_path / 'b'}}}"
+        )
+        built, alive_at_build = [], []
+
+        def build(*args):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            world = episode_world(*args)
+            built.append(weakref.ref(world))
+            return world
+
+        monkeypatch.setattr(bench, "episode_world", build)
+        run_bench(cfg, [3], episodes=4)
+        assert alive_at_build == [0, 0, 0, 0]
 
 
 class TestCli:

@@ -2,6 +2,9 @@
 
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -9,6 +12,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+import gridmarl
 from gridmarl import ConfigError, NonFiniteError, Scenario, ScenarioConfig, new_scenario
 from gridmarl.graph import Decomposition, SubGraph, build_graph, decompose
 from gridmarl.gridworld import GridWorld, Position
@@ -896,6 +900,34 @@ class TestTrainer:
         Trainer(battle_cfg(), tcfg, tiny_net_cfg(), seed=4).train_batch()
         assert at_first_read == [0, 0, 0]
         assert max(at_later_reads) > 0  # within an episode its records are kept
+
+    def test_training_and_evaluation_leave_numpy_ma_unimported(self):
+        """A training batch and an evaluation episode import no ``numpy.ma``
+        (``np.unique`` does on its first call, for about 1 MiB)."""
+        src = os.path.dirname(os.path.dirname(gridmarl.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+        if subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True,
+        ).stdout.strip() == "True":
+            pytest.skip("importing numpy alone imports numpy.ma")
+        code = (
+            "import sys\n"
+            "from gridmarl import Scenario, ScenarioConfig\n"
+            "from gridmarl.rl import NetConfig, Trainer, TrainerConfig, evaluate\n"
+            "cfg = ScenarioConfig(Scenario.BATTLE, 10, 10, agents=14, episode_limit=30)\n"
+            "tcfg = TrainerConfig(algorithm='graph-ac', depth=2, batch_episodes=8)\n"
+            "ncfg = NetConfig(hidden=8, rounds=1)\n"
+            "tr = Trainer(cfg, tcfg, ncfg, seed=0)\n"
+            "tr.train_batch()\n"
+            "evaluate(cfg, tr.nets, tcfg, ncfg, episodes=1)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_per_step_update_replays_by_hand(self, monkeypatch):
         tcfg = TrainerConfig(

@@ -1,4 +1,5 @@
-"""Measure the policy forward of one large team part, the A10 training parts, the sweep and a batch.
+"""Measure the policy forward of one large team part, the A10 training parts, the sweep, a batch
+and the graph build.
 
 Usage, from the root of a checkout:
 
@@ -31,6 +32,11 @@ with the same script. It prints one JSON object:
 * ``batch``: the tracemalloc peak of one ``Trainer.train_batch()`` of a
   fresh trainer on A10's training world (graph-ac, seed 0, depth 2, hidden
   8, one round) at 8 and at 100 episodes, and the second over the first.
+* ``graph``: for the world of the first step of ``eval-battle4k`` (its
+  first evaluation episode, program seed 0) and of A10's training world
+  (the first episode of a seed-0 trainer's first batch), the agents and
+  edges of its graph and the tracemalloc peak (KiB) and median time (µs,
+  of 200 calls; 2000 for A10) of ``build_graph``.
 
 ``gridmarl`` runs BLAS on one thread. tracemalloc peaks are deterministic;
 the times are not, so compare two trees in alternating runs.
@@ -48,22 +54,30 @@ import tracemalloc
 from pathlib import Path
 
 
-def peak_mib(forward) -> float:
+def peak_bytes(forward) -> int:
     tracemalloc.start()
     try:
         forward()
-        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def median_ms(forward, calls: int = 50) -> float:
+def peak_mib(forward) -> float:
+    return round(peak_bytes(forward) / 2**20, 2)
+
+
+def median_s(forward, calls: int) -> float:
     times = []
     for _ in range(calls):
         t0 = time.perf_counter()
         forward()
         times.append(time.perf_counter() - t0)
-    return round(1e3 * sorted(times)[calls // 2], 2)
+    return sorted(times)[calls // 2]
+
+
+def median_ms(forward, calls: int = 50) -> float:
+    return round(1e3 * median_s(forward, calls), 2)
 
 
 def largest_sweep(batch_episodes: int, depth: int, net: dict, calls: int) -> dict:
@@ -107,6 +121,36 @@ def batch_peaks() -> dict:
         trainer = Trainer(cfg, tcfg, NetConfig(hidden=8, rounds=1), seed=0)
         out[f"episodes_{episodes}_peak_mib"] = peak_mib(trainer.train_batch)
     out["peak_ratio_100_to_8"] = round(out["episodes_100_peak_mib"] / out["episodes_8_peak_mib"], 3)
+    return out
+
+
+def graph_builds() -> dict:
+    """The figures of ``graph`` above."""
+    import numpy as np
+
+    from gridmarl.graph import build_graph
+    from gridmarl.gridworld import Scenario, ScenarioConfig, new_scenario
+    from gridmarl.harness.bench import scaled_scenario
+
+    def world(cfg, spawn_key):
+        ss = np.random.SeedSequence(entropy=0, spawn_key=spawn_key)
+        return new_scenario(cfg, int(ss.generate_state(1)[0]))
+
+    a10 = ScenarioConfig(Scenario.BATTLE, 10, 10, agents=14, episode_limit=30)
+    a10_eval = ScenarioConfig(Scenario.BATTLE, 14, 14, agents=28, episode_limit=30)
+    eval4k = scaled_scenario(a10_eval, 2000, limit=10)
+    out = {}
+    for name, w, calls in (
+        ("eval_battle4k", world(eval4k, (3, 0)), 200),
+        ("a10_train", world(a10, (1, 0, 0)), 2000),
+    ):
+        g = build_graph(w)
+        out[name] = {
+            "agents": len(g.ids),
+            "edges": len(g.edges),
+            "peak_kib": round(peak_bytes(lambda: build_graph(w)) / 2**10, 1),
+            "median_us": round(1e6 * median_s(lambda: build_graph(w), calls), 1),
+        }
     return out
 
 
@@ -174,7 +218,13 @@ def main(argv: list[str]) -> int:
         "train_battle14_batch": largest_sweep(8, 2, {"hidden": 8, "rounds": 1}, 50),
         "defaults_episode": largest_sweep(1, 3, {}, 7),
     }
-    result = {"forward": forward, "a10_us_per_team_part": a10, "sweep": sweep, "batch": batch_peaks()}
+    result = {
+        "forward": forward,
+        "a10_us_per_team_part": a10,
+        "sweep": sweep,
+        "batch": batch_peaks(),
+        "graph": graph_builds(),
+    }
     print(json.dumps(result, indent=1))
     return 0
 
